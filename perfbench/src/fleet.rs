@@ -21,8 +21,7 @@ pub struct FleetSpec {
     pub pvplan: PathBuf,
     pub shards: usize,
     pub threads: usize,
-    pub cache_mb: Option<usize>,
-    /// Store root (fresh, or a copy of a filled store).
+    /// Store root, fresh for every fleet.
     pub store: PathBuf,
     /// Directory for the port file and, when tracing, the trace logs.
     pub dir: PathBuf,
@@ -47,9 +46,6 @@ impl FleetSpec {
             self.store.display().to_string(),
             "--watch-stdin".to_string(),
         ];
-        if let Some(mb) = self.cache_mb {
-            args.extend(["--cache-mb".to_string(), mb.to_string()]);
-        }
         if self.trace {
             args.extend([
                 "--trace-log".to_string(),

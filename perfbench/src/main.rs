@@ -2,7 +2,7 @@
 //! which builds `pvplan` and this binary from source first:
 //!
 //! ```text
-//! perfbench --workload table1_paper|route_warm|route_churn --seed N
+//! perfbench --workload table1_paper|route_warm --seed N
 //!           --seconds S --trace 0|1 --pvplan PATH [--commit ID]
 //! ```
 //!
@@ -19,7 +19,7 @@ mod table1;
 
 use std::path::PathBuf;
 
-const WORKLOADS: [&str; 3] = ["table1_paper", "route_warm", "route_churn"];
+const WORKLOADS: [&str; 2] = ["table1_paper", "route_warm"];
 
 #[derive(Debug)]
 struct Args {
@@ -73,7 +73,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         return Err("--seconds expects 1..=600".into());
     }
     if parsed.workload != "table1_paper" && parsed.pvplan.is_none() {
-        return Err("the serving workloads need --pvplan PATH".into());
+        return Err("the serving workload needs --pvplan PATH".into());
     }
     Ok(parsed)
 }
@@ -130,14 +130,9 @@ fn main() {
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let mut outcome = match args.workload.as_str() {
         "table1_paper" => table1::run(args.seconds, args.trace, threads),
-        name => {
-            let shape = if name == "route_warm" {
-                serving::WARM
-            } else {
-                serving::CHURN
-            };
+        _ => {
             let pvplan = args.pvplan.as_deref().expect("checked by parse_args");
-            serving::run(&shape, args.seed, args.seconds, args.trace, threads, pvplan)
+            serving::run(args.seed, args.seconds, args.trace, threads, pvplan)
         }
     };
     // Assembling the result line may record failures of its own, so the

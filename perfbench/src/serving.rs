@@ -1,13 +1,13 @@
-//! `route_warm` and `route_churn`: closed-loop `/v1/place` traffic
-//! through a `pvplan route --shards 2 --profile standard` fleet over real
-//! TCP, every response checked byte for byte against an in-process
+//! `route_warm`: closed-loop `/v1/place` traffic through a
+//! `pvplan route --shards 2 --profile standard` fleet over real TCP, every
+//! site warm, every response checked byte for byte against an in-process
 //! single-threaded `PlacementService` with the same profile.
 
 use crate::fleet::{Fleet, FleetSpec};
 use crate::report::{Layers, Outcome, STAGES};
 use crate::stats::{
     exposition_histogram, exposition_value, layer_cost, max_share, median, percentile,
-    shuffled_rounds, zipf_sequence, ExpoHistogram,
+    shuffled_rounds, ExpoHistogram,
 };
 use pv_floorplan::{FloorplanConfig, Placer, PlacerOptions, SuitabilityMap, TraceMemo};
 use pv_gis::ScenarioSpec;
@@ -35,81 +35,25 @@ pub const CLIENTS: usize = 2;
 /// Shards behind the router.
 pub const SHARDS: usize = 2;
 
-/// How a workload's request sequence is drawn.
-#[derive(Clone, Copy, Debug)]
-pub enum Traffic {
-    /// Rounds in which every site gets `greedy` bare-spec requests and
-    /// `anneal` `{"placer": "anneal"}` requests, shuffled per round.
-    Rounds {
-        greedy: usize,
-        anneal: usize,
-        rounds: usize,
-    },
-    /// `len` bare-spec requests with Zipf(`exponent`) site popularity.
-    Zipf { exponent: f64, len: usize },
-}
+/// Distinct sites the traffic touches, all warmed during set-up.
+const SITES: usize = 48;
 
-/// The shape of one serving workload.
-#[derive(Clone, Copy, Debug)]
-pub struct Shape {
-    pub name: &'static str,
-    /// Distinct sites the traffic touches.
-    pub sites: usize,
-    pub traffic: Traffic,
-    /// Requests per pass; `wall_s` is the median pass time.
-    pub pass: usize,
-    /// Per-shard `--cache-mb`; `None` keeps the profile's 256 MiB.
-    pub cache_mb: Option<usize>,
-    /// Sites written to the store before the fleet starts.
-    pub prefill: usize,
-    /// Whether set-up ends with one cold pass: one greedy request per site.
-    pub cold_pass: bool,
-    /// Fleets set up per run; `setup_s` is the median of their set-ups.
-    pub setups: usize,
-    /// Whether every fleet measures an equal share of the run. Otherwise
-    /// only the last one measures, for the whole run.
-    pub segmented: bool,
-}
+/// Bare-spec (greedy) and `{"placer": "anneal"}` requests per site in
+/// every round of the sequence: one request in six anneals.
+const GREEDY_PER_SITE: usize = 5;
+const ANNEAL_PER_SITE: usize = 1;
+const PER_ROUND: usize = GREEDY_PER_SITE + ANNEAL_PER_SITE;
 
-/// Every request hits a warm cache: the time goes to HTTP, the router
-/// hop, the greedy and anneal solves, and encoding. A pass is one round,
-/// so every pass holds the same requests; one in six anneals.
-pub const WARM: Shape = Shape {
-    name: "route_warm",
-    sites: 48,
-    traffic: Traffic::Rounds {
-        greedy: 5,
-        anneal: 1,
-        rounds: 16,
-    },
-    pass: 48 * 6,
-    cache_mb: None,
-    prefill: 0,
-    cold_pass: true,
-    setups: 3,
-    segmented: true,
-};
+/// Rounds in the sequence, each shuffled by the seed.
+const ROUNDS: usize = 16;
 
-/// A Zipf-skewed sequence over three times as many sites as the caches
-/// hold (about 20 per shard at 128 MiB): some three in ten requests miss
-/// and extract on the request path, and set-up hydrates a store filled
-/// for a quarter of the sites. The hit rate sits above one half so that
-/// `p50_ms` stays inside the hit latencies instead of jumping between
-/// hits and misses from seed to seed.
-pub const CHURN: Shape = Shape {
-    name: "route_churn",
-    sites: 120,
-    traffic: Traffic::Zipf {
-        exponent: 1.0,
-        len: 4096,
-    },
-    pass: 256,
-    cache_mb: Some(128),
-    prefill: 30,
-    cold_pass: false,
-    setups: 5,
-    segmented: false,
-};
+/// Requests per pass: one round, so every pass holds the same requests
+/// and `wall_s` is the median pass time.
+const PASS: usize = SITES * PER_ROUND;
+
+/// Fleets set up per untraced run; each measures an equal share of the
+/// run, and `setup_s` is the median of their set-ups.
+const SETUPS: usize = 3;
 
 /// Sites whose in-process layers (extraction, suitability, solves, store
 /// save) the traced run measures.
@@ -118,10 +62,9 @@ const LAYER_SITES: usize = 12;
 /// The generated inputs of one run.
 struct Inputs {
     specs: Vec<ScenarioSpec>,
-    /// Distinct request bodies: site `i`'s bare spec at `i * per_site`,
-    /// followed by its anneal body when the workload anneals.
+    /// Distinct request bodies: site `i`'s bare spec at `2 * i`, followed
+    /// by its anneal body.
     bodies: Vec<String>,
-    per_site: usize,
     /// The reference response of each body.
     expected: Vec<String>,
     /// The request sequence, as body indices.
@@ -139,42 +82,33 @@ fn anneal_body(spec: &str) -> String {
 impl Inputs {
     /// Sites from `ScenarioSpec::generate(seed, i)`, and the seeded
     /// request sequence over them.
-    fn generate(shape: &Shape, seed: u64) -> Inputs {
-        let specs: Vec<ScenarioSpec> = (0..shape.sites)
+    fn generate(seed: u64) -> Inputs {
+        let specs: Vec<ScenarioSpec> = (0..SITES)
             .map(|i| ScenarioSpec::generate(seed, i as u32))
             .collect();
-        let per_site = match shape.traffic {
-            Traffic::Rounds { anneal, .. } if anneal > 0 => 2,
-            _ => 1,
-        };
         let mut bodies = Vec::new();
         for spec in &specs {
             bodies.push(spec.to_spec_string());
-            if per_site == 2 {
-                bodies.push(anneal_body(&spec.to_spec_string()));
-            }
+            bodies.push(anneal_body(&spec.to_spec_string()));
         }
-        let sequence = match shape.traffic {
-            Traffic::Rounds {
-                greedy,
-                anneal,
-                rounds,
-            } => shuffled_rounds(seed, shape.sites, greedy + anneal, rounds)
-                .into_iter()
-                .map(|item| {
-                    let (site, k) = (item / (greedy + anneal), item % (greedy + anneal));
-                    site * per_site + usize::from(k >= greedy)
-                })
-                .collect(),
-            Traffic::Zipf { exponent, len } => zipf_sequence(seed, shape.sites, exponent, len),
-        };
+        let sequence = shuffled_rounds(seed, SITES, PER_ROUND, ROUNDS)
+            .into_iter()
+            .map(|item| {
+                let (site, k) = (item / PER_ROUND, item % PER_ROUND);
+                2 * site + usize::from(k >= GREEDY_PER_SITE)
+            })
+            .collect();
         Inputs {
             specs,
             bodies,
-            per_site,
             expected: Vec::new(),
             sequence,
         }
+    }
+
+    /// Body index of each site's greedy request.
+    fn greedy_bodies(&self) -> Vec<usize> {
+        (0..self.specs.len()).map(|site| 2 * site).collect()
     }
 }
 
@@ -279,26 +213,19 @@ where
     phase
 }
 
-/// Passes of `shape.pass` requests over the sequence, from `offset`
-/// (advanced past the requests sent), until `budget` is spent (at least
-/// one pass).
-fn closed_loop<F>(
-    send: &F,
-    inputs: &Inputs,
-    shape: &Shape,
-    budget: Duration,
-    offset: &mut usize,
-) -> Phase
+/// Passes of `PASS` requests over the sequence, from `offset` (advanced
+/// past the requests sent), until `budget` is spent (at least one pass).
+fn closed_loop<F>(send: &F, inputs: &Inputs, budget: Duration, offset: &mut usize) -> Phase
 where
     F: Fn(usize) -> Result<(u16, String), String> + Sync,
 {
     let start = Instant::now();
     let mut phase = Phase::default();
     while phase.pass_s.is_empty() || start.elapsed() < budget {
-        let items: Vec<usize> = (0..shape.pass)
+        let items: Vec<usize> = (0..PASS)
             .map(|j| inputs.sequence[(*offset + j) % inputs.sequence.len()])
             .collect();
-        *offset += shape.pass;
+        *offset += PASS;
         let pass = run_list(send, inputs, &items);
         phase.pass_s.push(pass.elapsed_s);
         phase
@@ -333,55 +260,17 @@ fn reference(inputs: &mut Inputs, outcome: &mut Outcome) -> Arc<PlacementService
     service
 }
 
-/// Writes snapshots for the first `shape.prefill` sites into the store
-/// partition of the shard that owns each site.
-fn prefill(shape: &Shape, inputs: &Inputs, root: &Path) -> Result<(), String> {
-    let ring = HashRing::new(SHARDS);
-    let mut services: Vec<Option<PlacementService>> = (0..SHARDS).map(|_| None).collect();
-    for (site, spec) in inputs.specs.iter().enumerate().take(shape.prefill) {
-        let body = &inputs.bodies[site * inputs.per_site];
-        let owner = ring.shard_for(place_shard_key(body.as_bytes()));
-        if services[owner].is_none() {
-            let store = SiteStore::open_shard(root, owner).map_err(|e| e.to_string())?;
-            services[owner] =
-                Some(PlacementService::new(ServiceConfig::standard()).with_store(Arc::new(store)));
-        }
-        if let Some(service) = &services[owner] {
-            service.prewarm(spec)?;
-        }
-    }
-    Ok(())
-}
-
-fn copy_dir(from: &Path, to: &Path) -> Result<(), String> {
-    std::fs::create_dir_all(to).map_err(|e| format!("creating {}: {e}", to.display()))?;
-    let entries = std::fs::read_dir(from).map_err(|e| format!("{}: {e}", from.display()))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| e.to_string())?;
-        let target = to.join(entry.file_name());
-        if entry.path().is_dir() {
-            copy_dir(&entry.path(), &target)?;
-        } else {
-            std::fs::copy(entry.path(), &target).map_err(|e| e.to_string())?;
-        }
-    }
-    Ok(())
-}
-
 /// Shared state of one run.
 struct Run<'a> {
-    shape: &'a Shape,
     pvplan: &'a Path,
     threads: usize,
     tmp: &'a Path,
-    /// The filled store every fleet of a churn run starts from.
-    golden: Option<PathBuf>,
     fleets: usize,
 }
 
 impl Run<'_> {
-    /// Starts a fleet on a fresh store (a copy of the filled one for
-    /// churn) and brings it to steady state: the timed set-up. Returns the
+    /// Starts a fleet on a fresh store and brings it to steady state with
+    /// one cold greedy request per site: the timed set-up. Returns the
     /// fleet and the set-up seconds.
     fn setup(
         &mut self,
@@ -391,54 +280,53 @@ impl Run<'_> {
     ) -> Result<(Fleet, f64), String> {
         self.fleets += 1;
         let dir = self.tmp.join(format!("fleet{}", self.fleets));
-        let store = dir.join("store");
-        if let Some(golden) = &self.golden {
-            copy_dir(golden, &store)?;
-        }
         let spec = FleetSpec {
             pvplan: self.pvplan.to_path_buf(),
             shards: SHARDS,
             threads: self.threads,
-            cache_mb: self.shape.cache_mb,
-            store,
+            store: dir.join("store"),
             dir,
             trace,
         };
         let t0 = Instant::now();
         let mut fleet = Fleet::start(&spec)?;
-        let cold = self.shape.cold_pass.then(|| {
-            let greedy: Vec<usize> = (0..inputs.specs.len())
-                .map(|s| s * inputs.per_site)
-                .collect();
-            run_list(
-                &|b| http_place(fleet.addr, &inputs.bodies[b]),
-                inputs,
-                &greedy,
-            )
-        });
+        let cold = run_list(
+            &|b| http_place(fleet.addr, &inputs.bodies[b]),
+            inputs,
+            &inputs.greedy_bodies(),
+        );
         let setup_s = t0.elapsed().as_secs_f64();
         fleet.learn_pids()?;
-        if let Some(cold) = cold {
-            cold.settle(outcome, "cold pass");
-            check_counter(outcome, "cold pass", 0.0, place_ok(&fleet)?, cold.sent);
-        }
+        cold.settle(outcome, "cold pass");
+        check_counter(outcome, "cold pass", 0.0, place_ok(&fleet)?, cold.ok);
         Ok((fleet, setup_s))
     }
 }
 
-fn place_ok(fleet: &Fleet) -> Result<f64, String> {
-    exposition_value(&fleet.metrics()?, "pv_place_ok_total")
+fn place_ok_in(metrics: &str) -> Result<f64, String> {
+    exposition_value(metrics, "pv_place_ok_total")
         .ok_or_else(|| "/v1/metrics has no pv_place_ok_total".to_string())
 }
 
+/// The fleet's `pv_place_ok_total`: the router sums the shards' counters,
+/// so requests sent straight to a shard count too.
+fn place_ok(fleet: &Fleet) -> Result<f64, String> {
+    place_ok_in(&fleet.metrics()?)
+}
+
 /// The fleet's own ledger must match the client's: the scraped
-/// `pv_place_ok_total` moves by exactly the requests sent.
-fn check_counter(outcome: &mut Outcome, what: &str, before: f64, after: f64, sent: u64) {
+/// `pv_place_ok_total` moves by exactly the requests that came back
+/// correct. A failed request is already counted by [`Phase::settle`], so
+/// only a disagreement on the successful ones counts here.
+fn check_counter(outcome: &mut Outcome, what: &str, before: f64, after: f64, ok: u64) {
     let counted = after - before;
-    if counted != sent as f64 {
+    if counted != ok as f64 {
         outcome.fail(
-            (counted - sent as f64).abs().max(1.0) as u64,
-            format!("{what}: sent {sent} request(s) but pv_place_ok_total moved by {counted}"),
+            (counted - ok as f64).abs().max(1.0) as u64,
+            format!(
+                "{what}: {ok} request(s) answered correctly but pv_place_ok_total moved by \
+                 {counted}"
+            ),
         );
     }
 }
@@ -491,7 +379,6 @@ struct Routed {
 fn routed_phase(
     fleet: &Fleet,
     inputs: &Inputs,
-    shape: &Shape,
     budget: Duration,
     offset: &mut usize,
     sample_queue: bool,
@@ -499,7 +386,7 @@ fn routed_phase(
 ) -> Result<Routed, String> {
     let stats_before = fleet.stats()?;
     let metrics_before = fleet.metrics()?;
-    let ok_before = exposition_value(&metrics_before, "pv_place_ok_total").unwrap_or(0.0);
+    let ok_before = place_ok_in(&metrics_before)?;
     let stop = AtomicBool::new(false);
     let (phase, depths) = std::thread::scope(|scope| {
         let sampler = sample_queue.then(|| {
@@ -517,7 +404,6 @@ fn routed_phase(
         let phase = closed_loop(
             &|b| http_place(fleet.addr, &inputs.bodies[b]),
             inputs,
-            shape,
             budget,
             offset,
         );
@@ -527,9 +413,9 @@ fn routed_phase(
     });
     let stats_after = fleet.stats()?;
     let metrics_after = fleet.metrics()?;
-    let ok_after = exposition_value(&metrics_after, "pv_place_ok_total").unwrap_or(0.0);
+    let ok_after = place_ok_in(&metrics_after)?;
     phase.settle(outcome, "measured phase");
-    check_counter(outcome, "measured phase", ok_before, ok_after, phase.sent);
+    check_counter(outcome, "measured phase", ok_before, ok_after, phase.ok);
     Ok(Routed {
         stats: StatsDelta::between(&stats_before, &stats_after),
         phase,
@@ -552,31 +438,12 @@ impl Drop for TempDir {
     }
 }
 
-pub fn run(
-    shape: &Shape,
-    seed: u64,
-    seconds: u64,
-    trace: bool,
-    threads: usize,
-    pvplan: &Path,
-) -> Outcome {
-    let mut outcome = Outcome::new(shape.name);
-    let tmp = TempDir(PathBuf::from(".bench_tmp").join(format!(
-        "{}-{}-{}",
-        shape.name,
-        seed,
-        std::process::id()
-    )));
-    let result = run_inner(
-        shape,
-        seed,
-        seconds,
-        trace,
-        threads,
-        pvplan,
-        &tmp.0,
-        &mut outcome,
+pub fn run(seed: u64, seconds: u64, trace: bool, threads: usize, pvplan: &Path) -> Outcome {
+    let mut outcome = Outcome::new("route_warm");
+    let tmp = TempDir(
+        PathBuf::from(".bench_tmp").join(format!("route_warm-{seed}-{}", std::process::id())),
     );
+    let result = run_inner(seed, seconds, trace, threads, pvplan, &tmp.0, &mut outcome);
     if let Err(e) = result {
         outcome.fail(1, e);
     }
@@ -584,9 +451,7 @@ pub fn run(
     outcome
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_inner(
-    shape: &Shape,
     seed: u64,
     seconds: u64,
     trace: bool,
@@ -597,10 +462,11 @@ fn run_inner(
 ) -> Result<(), String> {
     let _ = std::fs::remove_dir_all(tmp);
     std::fs::create_dir_all(tmp).map_err(|e| format!("creating {}: {e}", tmp.display()))?;
-    let mut inputs = Inputs::generate(shape, seed);
+    let mut inputs = Inputs::generate(seed);
     outcome.note(format!(
         "inputs: {} site(s) from ScenarioSpec::generate({seed}, i), {} distinct bod(ies), \
-         sequence of {} ({} anneal), {}",
+         sequence of {} ({} anneal), shuffled rounds of {GREEDY_PER_SITE} greedy + \
+         {ANNEAL_PER_SITE} anneal request(s) per site",
         inputs.specs.len(),
         inputs.bodies.len(),
         inputs.sequence.len(),
@@ -609,36 +475,19 @@ fn run_inner(
             .iter()
             .filter(|&&b| inputs.bodies[b].starts_with('{'))
             .count(),
-        match shape.traffic {
-            Traffic::Rounds { greedy, anneal, .. } =>
-                format!("shuffled rounds of {greedy} greedy + {anneal} anneal request(s) per site"),
-            Traffic::Zipf { exponent, .. } => format!("Zipf({exponent}) site popularity"),
-        },
     ));
     outcome.note(format!(
-        "fleet: pvplan route --shards {SHARDS} --profile standard --threads {threads}{}; \
+        "fleet: pvplan route --shards {SHARDS} --profile standard --threads {threads}; \
          {CLIENTS} closed-loop client(s), one connection each",
-        shape
-            .cache_mb
-            .map_or(String::new(), |mb| format!(" --cache-mb {mb}")),
     ));
     let service = reference(&mut inputs, outcome);
     if !outcome.failures.is_empty() {
         return Err("the reference service rejected the workload".into());
     }
-    let golden = if shape.prefill > 0 {
-        let golden = tmp.join("golden");
-        prefill(shape, &inputs, &golden)?;
-        Some(golden)
-    } else {
-        None
-    };
     let mut run = Run {
-        shape,
         pvplan,
         threads,
         tmp,
-        golden,
         fleets: 0,
     };
     let seconds = Duration::from_secs(seconds);
@@ -655,25 +504,18 @@ fn untraced(
     seconds: Duration,
     outcome: &mut Outcome,
 ) -> Result<(), String> {
-    let shape = run.shape;
     let (mut setup, mut rss) = (Vec::new(), Vec::new());
     let mut phase = Phase::default();
     let mut stats = StatsDelta::default();
     let mut offset = 0;
-    for k in 0..shape.setups {
+    for _ in 0..SETUPS {
         let (fleet, setup_s) = run.setup(inputs, outcome, false)?;
         setup.push(setup_s);
-        if shape.segmented || k + 1 == shape.setups {
-            let budget = if shape.segmented {
-                seconds / shape.setups as u32
-            } else {
-                seconds
-            };
-            let routed = routed_phase(&fleet, inputs, shape, budget, &mut offset, false, outcome)?;
-            rss.push(fleet.peak_rss_mb()?);
-            stats.add(&routed.stats);
-            phase.absorb(routed.phase);
-        }
+        let budget = seconds / SETUPS as u32;
+        let routed = routed_phase(&fleet, inputs, budget, &mut offset, false, outcome)?;
+        rss.push(fleet.peak_rss_mb()?);
+        stats.add(&routed.stats);
+        phase.absorb(routed.phase);
         fleet.stop()?;
     }
 
@@ -737,7 +579,6 @@ fn traced(
     outcome: &mut Outcome,
 ) -> Result<(), String> {
     let slice = seconds / 5;
-    let shape = run.shape;
     let mut layers = Layers::zero();
 
     // The stack without the network: the warm reference service, then the
@@ -752,7 +593,6 @@ fn traced(
             ))
         },
         inputs,
-        shape,
         slice,
         &mut 0,
     );
@@ -768,7 +608,6 @@ fn traced(
     let loopback = closed_loop(
         &|b| http_place(addr, &inputs.bodies[b]),
         inputs,
-        shape,
         slice,
         &mut 0,
     );
@@ -785,21 +624,28 @@ fn traced(
     // request's owning shard. Both routed phases sample the queue depth,
     // so the trace log is all that differs between them.
     let (fleet, _) = run.setup(inputs, outcome, false)?;
-    let plain = routed_phase(&fleet, inputs, shape, slice, &mut 0, true, outcome)?;
+    let plain = routed_phase(&fleet, inputs, slice, &mut 0, true, outcome)?;
     let ring = HashRing::new(SHARDS);
     let owner: Vec<usize> = inputs
         .bodies
         .iter()
         .map(|b| ring.shard_for(place_shard_key(b.as_bytes())))
         .collect();
+    let ok_before = place_ok(&fleet)?;
     let direct = closed_loop(
         &|b| http_place(fleet.shard_addrs[owner[b]], &inputs.bodies[b]),
         inputs,
-        shape,
         slice,
         &mut 0,
     );
     direct.settle(outcome, "direct to shards");
+    check_counter(
+        outcome,
+        "direct to shards",
+        ok_before,
+        place_ok(&fleet)?,
+        direct.ok,
+    );
     fleet.stop()?;
     layers.set(
         "server.router_hop_us",
@@ -813,7 +659,7 @@ fn traced(
 
     // The fleet traced: the same phase with --trace-log on.
     let (fleet, _) = run.setup(inputs, outcome, true)?;
-    let traced = routed_phase(&fleet, inputs, shape, slice, &mut 0, true, outcome)?;
+    let traced = routed_phase(&fleet, inputs, slice, &mut 0, true, outcome)?;
     let store_root = run.tmp.join(format!("fleet{}", run.fleets)).join("store");
     fleet.stop()?;
     layers.set("server.cache_hit_rate", traced.stats.hit_rate());
@@ -832,13 +678,11 @@ fn traced(
         (base - traced.phase.throughput()) / base.max(1e-9) * 100.0,
     );
 
-    // Store hydration: the filled store of a churn run, or what a warm
-    // fleet wrote behind its responses.
-    let hydrate_root = run.golden.clone().unwrap_or(store_root);
+    // Store hydration: what the traced fleet wrote behind its responses.
     let t0 = Instant::now();
     let mut hydrated = 0usize;
     for shard in 0..SHARDS {
-        let store = SiteStore::open_shard(&hydrate_root, shard).map_err(|e| e.to_string())?;
+        let store = SiteStore::open_shard(&store_root, shard).map_err(|e| e.to_string())?;
         hydrated += black_box(store.hydrate().map_err(|e| e.to_string())?).len();
     }
     layers.set("store.hydrate_s", t0.elapsed().as_secs_f64());
@@ -892,7 +736,7 @@ fn site_layers(
         suitability_s += t0.elapsed().as_secs_f64();
 
         // The topology the reference response chose for this site.
-        let response = pv_json::parse(&inputs.expected[site * inputs.per_site])
+        let response = pv_json::parse(&inputs.expected[2 * site])
             .map_err(|e| format!("reference response: {e}"))?;
         let field = |k: &str| {
             response

@@ -1,10 +1,10 @@
-//! The benchmark's pure parts: seeded input sequences, percentiles that
+//! The benchmark's pure parts: the seeded request sequence, percentiles that
 //! carry their sample counts, latency subtraction between stacked phases,
 //! and parsing of the program's `/v1/metrics` exposition text.
 
 use std::collections::BTreeMap;
 
-/// SplitMix64: a tiny seeded generator, so the request sequences depend
+/// SplitMix64: a tiny seeded generator, so the request sequence depends
 /// only on the benchmark seed and this file.
 #[derive(Clone, Debug)]
 pub struct SplitMix64(u64);
@@ -21,37 +21,6 @@ impl SplitMix64 {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     }
-
-    /// Uniform in `[0, 1)` from the top 53 bits.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-/// `len` draws from a Zipf(`exponent`) law over ranks `0..population`,
-/// with the rank-to-site assignment shuffled by the seed so the popular
-/// sites differ from seed to seed. Deterministic per seed.
-pub fn zipf_sequence(seed: u64, population: usize, exponent: f64, len: usize) -> Vec<usize> {
-    assert!(population > 0, "a Zipf law needs at least one rank");
-    let mut rng = SplitMix64::new(seed ^ 0x5A17_F00D);
-    let mut cumulative = Vec::with_capacity(population);
-    let mut total = 0.0;
-    for rank in 1..=population {
-        total += (rank as f64).powf(-exponent);
-        cumulative.push(total);
-    }
-    let mut site_of_rank: Vec<usize> = (0..population).collect();
-    for i in (1..population).rev() {
-        let j = (rng.next_u64() % (i as u64 + 1)) as usize;
-        site_of_rank.swap(i, j);
-    }
-    (0..len)
-        .map(|_| {
-            let u = rng.next_f64() * total;
-            let rank = cumulative.partition_point(|&c| c <= u).min(population - 1);
-            site_of_rank[rank]
-        })
-        .collect()
 }
 
 /// `rounds` rounds in which every one of `sites` sites is requested
@@ -243,23 +212,6 @@ impl ExpoHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn zipf_sequence_is_deterministic_per_seed_and_skewed() {
-        let a = zipf_sequence(7, 40, 1.0, 2000);
-        assert_eq!(a, zipf_sequence(7, 40, 1.0, 2000));
-        assert_ne!(a, zipf_sequence(8, 40, 1.0, 2000));
-        assert!(a.iter().all(|&site| site < 40));
-        let mut counts = vec![0usize; 40];
-        for &site in &a {
-            counts[site] += 1;
-        }
-        counts.sort_unstable();
-        // Rank 1 of Zipf(1) over 40 ranks carries ~23% of the mass; the
-        // rarest rank carries ~0.6%.
-        assert!(counts[39] > 300 && counts[39] < 650, "{counts:?}");
-        assert!(counts[0] < 40, "{counts:?}");
-    }
 
     #[test]
     fn shuffled_rounds_hold_every_item_once_per_round() {

@@ -5,7 +5,8 @@
 //! ([`pv_bench::compare_row_with`] after the roof's extraction) and checks
 //! every row bit for bit against the same public functions called one at
 //! a time. The traced run calls those functions one at a time, times each
-//! call, and checks its rows against `compare_row_with` in turn.
+//! call, and checks its rows against `compare_row_with` in turn. Both
+//! check the rows against [`PINNED_ROWS`] as well.
 
 use crate::report::{Layers, Outcome};
 use crate::stats::median;
@@ -34,6 +35,60 @@ pub const STEP_MINUTES: u32 = 15;
 /// Module counts of Table I.
 const MODULE_COUNTS: [usize; 2] = [16, 32];
 
+/// Table I at `DAYS` days and `STEP_MINUTES`-minute steps as the public
+/// functions computed it when the benchmark was defined (the same on one
+/// and on two threads): label, N, and the bits of the traditional and
+/// proposed energies (Wh) and of the gain (%).
+///
+/// A determinism pin. The other row checks compare two call paths through
+/// the same code, so a change to `gis` or `floorplan` that moves the
+/// energies passes them; it fails this one. A change meant to move the
+/// energies updates the pin and says why.
+const PINNED_ROWS: [(&str, usize, u64, u64, u64); 6] = [
+    (
+        "Roof 1",
+        16,
+        0x40f4_240f_6be0_93ed,
+        0x4105_0854_60c5_b198,
+        0x405b_36ae_a81a_9a94,
+    ),
+    (
+        "Roof 1",
+        32,
+        0x40fc_d80a_fa44_c73e,
+        0x4112_dc22_9379_abd2,
+        0x4064_316a_9238_8d96,
+    ),
+    (
+        "Roof 2",
+        16,
+        0x40f4_4206_197b_3d2a,
+        0x4104_6318_b834_b0ee,
+        0x4059_51a1_1390_5877,
+    ),
+    (
+        "Roof 2",
+        32,
+        0x40fc_aa41_feef_aa81,
+        0x4114_1d49_53fe_2205,
+        0x4066_95d0_6078_73ee,
+    ),
+    (
+        "Roof 3",
+        16,
+        0x40f9_0584_369e_e599,
+        0x4106_c7cf_010d_70e3,
+        0x4054_8592_8ce0_08c0,
+    ),
+    (
+        "Roof 3",
+        32,
+        0x4100_bbe3_f38d_7bbb,
+        0x4116_2b6c_3fb7_4bc7,
+        0x4064_9ee8_0cd2_1473,
+    ),
+];
+
 /// One Table I row as bits: label, N, traditional and proposed energy,
 /// gain. Equality is bit equality.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,6 +101,31 @@ struct RowBits {
 }
 
 impl RowBits {
+    fn pinned() -> Vec<RowBits> {
+        PINNED_ROWS
+            .iter()
+            .map(|&(label, n_modules, traditional, proposed, gain)| RowBits {
+                label: label.to_string(),
+                n_modules,
+                traditional,
+                proposed,
+                gain,
+            })
+            .collect()
+    }
+
+    /// The row in words, for notes and failure messages.
+    fn describe(&self) -> String {
+        format!(
+            "{} N={}: traditional {:.3} Wh, proposed {:.3} Wh, gain {:.4}%",
+            self.label,
+            self.n_modules,
+            f64::from_bits(self.traditional),
+            f64::from_bits(self.proposed),
+            f64::from_bits(self.gain)
+        )
+    }
+
     fn of(row: &pv_floorplan::ComparisonRow) -> Self {
         Self {
             label: row.label.clone(),
@@ -162,9 +242,13 @@ fn check_rows(outcome: &mut Outcome, what: &str, want: &[RowBits], got: &[RowBit
     outcome.attempted += got.len() as u64;
     let bad = got.iter().zip(want).filter(|(g, w)| g != w).count() + want.len().abs_diff(got.len());
     if bad > 0 {
+        let first = got.iter().zip(want).find(|(g, w)| g != w).map_or_else(
+            || format!("{} row(s) for {}", got.len(), want.len()),
+            |(g, w)| format!("got {}, want {}", g.describe(), w.describe()),
+        );
         outcome.fail(
             bad as u64,
-            format!("{what}: {bad} Table I row(s) differ from the reference bits"),
+            format!("{what}: {bad} Table I row(s) differ from the reference bits; {first}"),
         );
     }
 }
@@ -244,7 +328,16 @@ pub fn run(seconds: u64, trace: bool, threads: usize) -> Outcome {
             &reference,
         );
     }
+    check_rows(
+        &mut outcome,
+        "rows vs the pinned Table I",
+        &RowBits::pinned(),
+        &reference,
+    );
     outcome.note(format!("rows digest: {}", digest(&reference)));
+    for row in &reference {
+        outcome.note(format!("row {}", row.describe()));
+    }
 
     let rows_done = untraced_rows.iter().map(Vec::len).sum::<usize>();
     let rows_per_pass = roofs.len() * MODULE_COUNTS.len();
