@@ -78,10 +78,43 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     Ok(parsed)
 }
 
+/// CPUs online on the host, read from `/sys/devices/system/cpu/online`
+/// (e.g. `0-1`). Unlike `available_parallelism`, it ignores the CPU
+/// affinity the serving workload runs under, so the fleet gets as many
+/// workers as the host has cores whether or not the run is pinned.
+fn online_cpus() -> Option<usize> {
+    let list = std::fs::read_to_string("/sys/devices/system/cpu/online").ok()?;
+    let mut count = 0;
+    for range in list.trim().split(',') {
+        count += match range.split_once('-') {
+            Some((lo, hi)) => hi.parse::<usize>().ok()? + 1 - lo.parse::<usize>().ok()?,
+            None => {
+                range.parse::<usize>().ok()?;
+                1
+            }
+        };
+    }
+    (count > 0).then_some(count)
+}
+
+/// The CPUs this process may run on, as `/proc/self/status` lists them.
+fn cpus_allowed() -> String {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            status
+                .lines()
+                .find_map(|l| l.strip_prefix("Cpus_allowed_list:"))
+                .map(|l| l.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// The host record every result carries.
 fn host_line(args: &Args, threads: usize) -> String {
     pv_json::ObjectBuilder::new()
         .field("nproc", threads)
+        .field("cpus_allowed", cpus_allowed())
         .field("simd_active", pv_gis::lanes::simd_active())
         .field(
             "profile",
@@ -127,7 +160,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let threads = online_cpus()
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get));
     let mut outcome = match args.workload.as_str() {
         "table1_paper" => table1::run(args.seconds, args.trace, threads),
         _ => {

@@ -41,6 +41,17 @@ pub fn shuffled_rounds(seed: u64, sites: usize, per_site: usize, rounds: usize) 
     sequence
 }
 
+/// Stratified pick: sorts `pool` by `key` (ties keep pool order), cuts it
+/// into strata of `per` consecutive items and keeps the middle item of
+/// each. The picked items' keys follow the pool's distribution closely
+/// whatever the pool's draw, so a sum of costs that track the key varies
+/// less between pools than over a plain sample of the same size.
+pub fn stratified_pick<T>(mut pool: Vec<T>, per: usize, key: impl Fn(&T) -> f64) -> Vec<T> {
+    let per = per.max(1);
+    pool.sort_by(|a, b| key(a).total_cmp(&key(b)));
+    pool.into_iter().skip(per / 2).step_by(per).collect()
+}
+
 /// A nearest-rank percentile with the evidence behind it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Percentile {
@@ -224,6 +235,22 @@ mod tests {
             assert_eq!(sorted, (0..24).collect::<Vec<_>>());
         }
         assert_ne!(&sequence[..24], &sequence[24..48], "rounds are reshuffled");
+    }
+
+    #[test]
+    fn stratified_pick_keeps_the_middle_of_each_stratum() {
+        let pool = vec![7.0, 1.0, 5.0, 3.0, 8.0, 2.0, 6.0, 4.0, 9.0];
+        assert_eq!(
+            stratified_pick(pool.clone(), 3, |&x| x),
+            vec![2.0, 5.0, 8.0]
+        );
+        assert_eq!(stratified_pick(pool.clone(), 1, |&x| x).len(), 9);
+        // Keys order the pick; the items themselves may be anything.
+        let named: Vec<(char, f64)> = vec![('a', 4.0), ('b', 1.0), ('c', 3.0), ('d', 2.0)];
+        assert_eq!(
+            stratified_pick(named, 2, |&(_, k)| k),
+            vec![('d', 2.0), ('a', 4.0)]
+        );
     }
 
     #[test]
