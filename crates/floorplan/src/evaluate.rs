@@ -76,7 +76,6 @@ const AGG_FIELDS: usize = 2;
 
 /// Evaluation result for one placement over the simulation period.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyReport {
     /// Net extracted energy (panel output minus wiring loss).
     pub energy: WattHours,

@@ -23,7 +23,6 @@ use pv_units::WattHours;
 
 /// One row of a traditional-vs-proposed comparison (Table I format).
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ComparisonRow {
     /// Roof / scenario label.
     pub label: String,

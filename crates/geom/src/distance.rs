@@ -4,7 +4,6 @@ use pv_units::Meters;
 
 /// A point in metric roof-plane coordinates.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// Horizontal coordinate in metres.
     pub x: f64,

@@ -15,7 +15,6 @@ use crate::coord::{CellCoord, GridDims};
 /// assert_eq!(grid.iter().count(), 12);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Grid<T> {
     dims: GridDims,
     data: Vec<T>,

@@ -22,7 +22,6 @@ use pv_units::Meters;
 /// # Ok::<(), pv_geom::GeomError>(())
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Polygon {
     vertices: Vec<(f64, f64)>,
 }

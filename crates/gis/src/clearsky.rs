@@ -25,7 +25,6 @@ pub const SOLAR_CONSTANT: f64 = 1367.0;
 /// assert!(dhi.as_w_per_m2() > 50.0 && dhi.as_w_per_m2() < 200.0);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClearSky {
     /// Extraterrestrial normal irradiance corrected for orbit eccentricity.
     i0: f64,

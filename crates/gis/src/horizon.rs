@@ -30,7 +30,6 @@ use pv_units::Radians;
 /// assert!(towards_chimney.value() > 0.5);
 /// ```
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HorizonMap {
     dims: GridDims,
     num_sectors: usize,

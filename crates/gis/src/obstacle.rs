@@ -11,7 +11,6 @@ use pv_units::Meters;
 
 /// The kind of encumbrance, for reporting and rendering.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum ObstacleKind {
     /// A masonry chimney: tall, small footprint.
@@ -66,7 +65,6 @@ impl core::fmt::Display for ObstacleKind {
 /// assert_eq!(c.height().as_meters(), 1.5);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Obstacle {
     kind: ObstacleKind,
     x: Meters,

@@ -62,7 +62,6 @@ pub fn split_seed(corpus_seed: u64, index: u32) -> u64 {
 
 /// The structural archetype of a generated roof.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RoofArchetype {
     /// A near-flat industrial deck (tilt 2°–8°) crowded with service
     /// furniture: HVAC cabinets, vents, pipe runs.
@@ -123,7 +122,6 @@ impl core::fmt::Display for RoofArchetype {
 /// Seasonal weather / climate preset: sets the site's turbidity profile and
 /// albedo plus the weather generator's annual temperature cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum WeatherPreset {
     /// Po-valley-like temperate climate (the paper's setting): hazy
     /// summers, moderate swing.
@@ -222,9 +220,7 @@ impl core::fmt::Display for WeatherPreset {
 /// A spec is a value object: [`build`](Self::build) turns it into the same
 /// [`SiteScenario`] every time, and the compact text encoding
 /// ([`to_spec_string`](Self::to_spec_string) /
-/// [`parse_spec_string`](Self::parse_spec_string)) round-trips exactly —
-/// the offline counterpart of the `serde` derives this type carries behind
-/// the (registry-gated) `serde` feature.
+/// [`parse_spec_string`](Self::parse_spec_string)) round-trips exactly.
 ///
 /// ```
 /// use pv_gis::synth::ScenarioSpec;
@@ -233,7 +229,6 @@ impl core::fmt::Display for WeatherPreset {
 /// assert_eq!(ScenarioSpec::parse_spec_string(&text).unwrap(), spec);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScenarioSpec {
     /// Position of this scenario in its corpus.
     pub index: u32,
@@ -701,7 +696,6 @@ impl SiteScenario {
 
 /// Named corpus presets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CorpusPreset {
     /// The paper's three reconstructed Turin roofs (no generation).
     Paper3,

@@ -14,7 +14,6 @@ const K_OVER_Q: f64 = 8.617_333_262e-5;
 
 /// A sampled point of an I-V characteristic.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IvPoint {
     /// Terminal voltage.
     pub voltage: Volts,
@@ -33,7 +32,6 @@ impl IvPoint {
 
 /// A sampled I-V characteristic at fixed `(G, T)`.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IvCurve {
     points: Vec<IvPoint>,
 }
@@ -117,7 +115,6 @@ impl IvCurve {
 /// assert!((curve.isc().value() - 7.36).abs() < 0.1);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SingleDiodeModule {
     /// Cells in series.
     ns: f64,

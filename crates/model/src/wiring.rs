@@ -17,7 +17,6 @@ use pv_units::{Amperes, Meters, OhmsPerMeter, Watts};
 /// abutting landscape modules, so that a traditional compact row has zero
 /// overhead exactly as in the paper's Fig. 4-(a).
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WiringSpec {
     resistance: OhmsPerMeter,
     connector_length: Meters,
@@ -99,7 +98,6 @@ impl Default for WiringSpec {
 
 /// Extra wiring of one series string.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WiringOverhead {
     /// Total extra cable length beyond the default connectors.
     pub extra_length: Meters,

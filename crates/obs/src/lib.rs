@@ -16,8 +16,8 @@
 //! - [`Histogram`]: fixed log-bucketed latency histogram. Merging two
 //!   histograms is bucket-wise addition, so per-shard histograms compose
 //!   *exactly* across process boundaries — unlike quantiles, which do not
-//!   compose at all (averaging per-shard p99s, as the router once did, is
-//!   not a quantile of anything).
+//!   compose at all (an average of per-shard p99s is not a quantile of
+//!   anything).
 //! - [`Stage`] / [`StageTimes`] / [`StageHistograms`]: the span taxonomy
 //!   of a placement request (extract, cache lookup, store hydrate, memo
 //!   warm-up, solve, encode) and its per-request / aggregate recordings.

@@ -24,15 +24,16 @@
 //!   failure triggers *retry-once-on-refused*: wait (bounded) for the
 //!   shard's `/v1/healthz` to answer on its current port-file address,
 //!   re-send once, and only then give up with a structured `503`.
-//! * **Stats.** `GET /v1/stats` fans out to every live shard and merges:
-//!   counters are summed, `queue_depth` is the maximum (including the
-//!   router's own backlog), latency quantiles come from *bucket-wise
-//!   summing* each shard's sparse [`pv_obs::Histogram`] encoding — an
-//!   exact merge, since fixed-bucket histograms compose where raw
-//!   quantiles do not — and router-level fields (`shards`, `shards_up`,
-//!   `shard_restarts`, `shard_pids`, `store_hit_rate`) are appended.
-//!   `GET /v1/metrics` renders the same merged fleet view as Prometheus
-//!   exposition text.
+//! * **Stats.** `GET /v1/stats` and `GET /v1/metrics` fan out to every
+//!   live shard, decode each answer into a [`StatsSnapshot`], and merge
+//!   them together with one more snapshot holding the router's own
+//!   `queue_depth` and dropped trace events. The merge follows each
+//!   field's declared rule: counters and cache sizes are summed,
+//!   `queue_depth` is the maximum, and the latency and stage histograms
+//!   merge bucket by bucket — exact, so fleet quantiles are those of the
+//!   pooled request stream. The fleet facts (`shards`, `shards_up`,
+//!   `shard_restarts`, `shard_pids`) ride on the merged snapshot, which
+//!   the same two renderers turn into the JSON and exposition bodies.
 //! * **Tracing.** Every proxied `/v1/place` carries a trace id — the one
 //!   a caller forwarded in the internal `x-pv-trace` header, or one the
 //!   router derives from the body — so a router-side trace event and the
@@ -54,12 +55,9 @@ use crate::http::{send_request, send_request_traced};
 use crate::ring::HashRing;
 use crate::server::{Handler, RequestContext};
 use crate::service::{error_body, PlaceRequest};
+use crate::stats::{Fleet, StatsSnapshot};
 use pv_gis::synth::fnv1a;
-use pv_json::{JsonValue, ObjectBuilder};
-use pv_obs::{
-    derive_trace_id, event_line, Exposition, Histogram, Stage, StageHistograms, StageTimes, Timer,
-    TraceLog,
-};
+use pv_obs::{derive_trace_id, event_line, StageTimes, Timer, TraceLog};
 use pv_runtime::{ChildSpec, Supervisor};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -406,234 +404,34 @@ impl Router {
         (503, error_body(&format!("shard {shard} is unavailable")))
     }
 
-    /// Fans `GET /v1/stats` out to every shard and decodes what answered:
-    /// the raw stats documents plus the bucket-wise merge of every
-    /// shard's latency and stage histograms. Merging fixed-bucket
-    /// histograms is *exact* (addition commutes with bucketing), which is
-    /// what lets the router report honest fleet quantiles — the previous
-    /// `place_ok`-weighted average of per-shard quantiles was simply
-    /// wrong for any skewed shard mix.
-    fn fleet_snapshot(&self) -> FleetSnapshot {
-        let docs: Vec<JsonValue> = self
-            .shards
-            .iter()
-            .filter_map(
-                |slot| match self.forward(slot, "GET", "/v1/stats", b"", None) {
-                    Ok((200, body)) => pv_json::parse(&body).ok(),
-                    _ => None,
-                },
-            )
-            .collect();
-        let mut latency = Histogram::new();
-        let mut stages = StageHistograms::new();
-        for doc in &docs {
-            if let Some(shard) = doc.get("latency_hist").and_then(Histogram::from_sparse) {
-                latency.merge(&shard);
-            }
-            if let Some(shard) = doc
-                .get("stage_hists")
-                .and_then(StageHistograms::from_sparse)
-            {
-                stages.merge(&shard);
+    /// The fleet's stats: the router's own `queue_depth` and dropped
+    /// trace events, merged with the snapshot of every shard whose
+    /// `/v1/stats` answered and decoded, plus the fleet facts.
+    fn fleet_stats(&self, queue_depth: usize) -> StatsSnapshot {
+        let mut fleet = StatsSnapshot {
+            queue_depth: queue_depth as u64,
+            trace_dropped: self.trace_log.as_ref().map_or(0, |log| log.dropped()),
+            ..StatsSnapshot::default()
+        };
+        let mut shards_up = 0;
+        for slot in &self.shards {
+            if let Ok((200, body)) = self.forward(slot, "GET", "/v1/stats", b"", None) {
+                if let Some(shard) = StatsSnapshot::decode(&body) {
+                    fleet.merge(&shard);
+                    shards_up += 1;
+                }
             }
         }
-        FleetSnapshot {
-            docs,
-            latency,
-            stages,
-        }
+        fleet.fleet = Some(Fleet {
+            shards: self.shards.len() as u64,
+            shards_up,
+            shard_restarts: self.supervisor.restarts(),
+            shard_pids: (0..self.shards.len())
+                .filter_map(|index| self.supervisor.child_pid(index))
+                .collect(),
+        });
+        fleet
     }
-
-    /// Fans `GET /v1/stats` out to every shard and merges the answers.
-    fn merged_stats(&self, queue_depth: usize) -> String {
-        /// Per-shard counters that add across shards.
-        const SUMMED: &[&str] = &[
-            "requests",
-            "place_ok",
-            "errors",
-            "cache_hits",
-            "cache_misses",
-            "cache_entries",
-            "cache_bytes",
-            "cache_budget_bytes",
-            "store_hits",
-            "store_hydrated",
-            "store_quarantined",
-            "store_skipped",
-            "store_writes",
-            "store_write_errors",
-            "trace_dropped",
-        ];
-        let fleet = self.fleet_snapshot();
-        let docs = &fleet.docs;
-        let number = |doc: &JsonValue, key: &str| -> f64 {
-            doc.get(key).and_then(JsonValue::as_number).unwrap_or(0.0)
-        };
-        let sum = |key: &str| -> f64 { docs.iter().map(|doc| number(doc, key)).sum() };
-
-        let mut merged = ObjectBuilder::new();
-        for &key in SUMMED {
-            merged = merged.field(key, sum(key));
-        }
-        let lookups = sum("cache_hits") + sum("cache_misses");
-        let max_queue = docs
-            .iter()
-            .map(|doc| number(doc, "queue_depth"))
-            .fold(queue_depth as f64, f64::max);
-        let pids: Vec<JsonValue> = (0..self.shards.len())
-            .filter_map(|index| self.supervisor.child_pid(index))
-            .map(|pid| JsonValue::from(f64::from(pid)))
-            .collect();
-        merged
-            .field(
-                "cache_hit_rate",
-                pv_json::rounded(sum("cache_hits") / lookups.max(1.0), 4),
-            )
-            .field(
-                "store_hit_rate",
-                pv_json::rounded(sum("store_hits") / lookups.max(1.0), 4),
-            )
-            .field("queue_depth", max_queue)
-            // Quantiles of the *merged* histogram — identical to what one
-            // big server would report over the pooled request stream (to
-            // bucket resolution), not an average of per-shard quantiles.
-            .field(
-                "p50_ms",
-                pv_json::rounded(fleet.latency.quantile(0.50) as f64 / 1e3, 3),
-            )
-            .field(
-                "p99_ms",
-                pv_json::rounded(fleet.latency.quantile(0.99) as f64 / 1e3, 3),
-            )
-            .field("shards", self.shards.len())
-            .field("shards_up", docs.len())
-            .field("shard_restarts", self.supervisor.restarts() as f64)
-            .field("shard_pids", pids)
-            .field("latency_hist", fleet.latency.to_sparse())
-            .field("stage_hists", fleet.stages.to_sparse())
-            .build()
-            .to_json_string()
-    }
-
-    /// Renders the fleet-wide Prometheus-text `/v1/metrics` body: summed
-    /// counters, exactly merged latency/stage histograms, and fleet
-    /// health gauges no single shard can report (`pv_shards`,
-    /// `pv_shards_up`, `pv_shard_restarts`).
-    fn metrics_text(&self, queue_depth: usize) -> String {
-        let fleet = self.fleet_snapshot();
-        let number = |doc: &JsonValue, key: &str| -> f64 {
-            doc.get(key).and_then(JsonValue::as_number).unwrap_or(0.0)
-        };
-        let sum = |key: &str| -> u64 {
-            fleet
-                .docs
-                .iter()
-                .map(|doc| number(doc, key))
-                .sum::<f64>()
-                .max(0.0) as u64
-        };
-        let lookups = sum("cache_hits") + sum("cache_misses");
-        let hit_rate = if lookups == 0 {
-            0.0
-        } else {
-            sum("cache_hits") as f64 / lookups as f64
-        };
-        let max_queue = fleet
-            .docs
-            .iter()
-            .map(|doc| number(doc, "queue_depth"))
-            .fold(queue_depth as f64, f64::max);
-        let dropped = sum("trace_dropped") + self.trace_log.as_ref().map_or(0, |log| log.dropped());
-
-        let mut doc = Exposition::new();
-        doc.counter(
-            "pv_requests_total",
-            "Requests routed, any endpoint.",
-            sum("requests"),
-        );
-        doc.counter(
-            "pv_place_ok_total",
-            "Successful /v1/place solves.",
-            sum("place_ok"),
-        );
-        doc.counter(
-            "pv_errors_total",
-            "Requests answered with a 4xx/5xx.",
-            sum("errors"),
-        );
-        doc.counter(
-            "pv_cache_hits_total",
-            "Warm site-cache hits.",
-            sum("cache_hits"),
-        );
-        doc.counter(
-            "pv_cache_misses_total",
-            "Cold site extractions.",
-            sum("cache_misses"),
-        );
-        doc.counter(
-            "pv_store_hits_total",
-            "Cache hits on store-hydrated entries.",
-            sum("store_hits"),
-        );
-        doc.counter(
-            "pv_trace_dropped_total",
-            "Trace events lost to a full ring or failed writes.",
-            dropped,
-        );
-        doc.gauge("pv_cache_hit_rate", "Cache hits over lookups.", hit_rate);
-        doc.gauge(
-            "pv_cache_entries",
-            "Sites in the warm caches.",
-            sum("cache_entries") as f64,
-        );
-        doc.gauge(
-            "pv_queue_depth",
-            "Accepted connections awaiting a worker.",
-            max_queue,
-        );
-        doc.gauge(
-            "pv_shards",
-            "Workers in the fleet.",
-            self.shards.len() as f64,
-        );
-        doc.gauge(
-            "pv_shards_up",
-            "Workers that answered the stats fan-out.",
-            fleet.docs.len() as f64,
-        );
-        doc.gauge(
-            "pv_shard_restarts",
-            "Worker respawns since the router started.",
-            self.supervisor.restarts() as f64,
-        );
-        doc.histogram(
-            "pv_place_latency_us",
-            "End-to-end /v1/place latency, microseconds.",
-            None,
-            &fleet.latency,
-        );
-        for stage in Stage::ALL {
-            let hist = fleet.stages.get(stage);
-            if !hist.is_empty() {
-                doc.histogram(
-                    "pv_stage_us",
-                    "Per-stage span duration, microseconds.",
-                    Some(("stage", stage.name())),
-                    hist,
-                );
-            }
-        }
-        doc.finish()
-    }
-}
-
-/// One fan-out over the fleet: the per-shard stats documents that
-/// answered, plus the exact bucket-wise merge of their histograms.
-struct FleetSnapshot {
-    docs: Vec<JsonValue>,
-    latency: Histogram,
-    stages: StageHistograms,
 }
 
 impl Handler for Router {
@@ -657,8 +455,8 @@ impl Handler for Router {
             // server produces, so health checks and error probes are
             // byte-identical through the proxy.
             ("GET", "/v1/healthz") => (200, r#"{"status": "ok"}"#.to_string()),
-            ("GET", "/v1/stats") => (200, self.merged_stats(ctx.queue_depth)),
-            ("GET", "/v1/metrics") => (200, self.metrics_text(ctx.queue_depth)),
+            ("GET", "/v1/stats") => (200, self.fleet_stats(ctx.queue_depth).render_json()),
+            ("GET", "/v1/metrics") => (200, self.fleet_stats(ctx.queue_depth).render_prometheus()),
             ("POST", "/v1/place") => {
                 let shard = self.ring.shard_for(place_shard_key(body));
                 self.proxy(shard, "POST", "/v1/place", body, trace)

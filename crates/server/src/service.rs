@@ -5,7 +5,7 @@
 
 use crate::cache::{CachedSite, SiteCache};
 use crate::server::RequestContext;
-use crate::stats::ServiceStats;
+use crate::stats::{ServiceStats, StatsSnapshot};
 use pv_floorplan::{
     FloorplanConfig, FloorplanResult, Placer, PlacerOptions, SuitabilityMap, TraceMemo,
 };
@@ -13,7 +13,7 @@ use pv_gis::synth::fnv1a;
 use pv_gis::ScenarioSpec;
 use pv_json::{JsonValue, ObjectBuilder};
 use pv_model::Topology;
-use pv_obs::{derive_trace_id, event_line, Exposition, Stage, StageTimes, Timer, TraceLog};
+use pv_obs::{derive_trace_id, event_line, Stage, StageTimes, Timer, TraceLog};
 use pv_runtime::Runtime;
 use pv_store::{SiteStore, SnapshotMeta};
 use pv_units::SimulationClock;
@@ -420,12 +420,12 @@ impl PlacementService {
         let path = target.split('?').next().unwrap_or(target);
         let (status, response) = match (method, path) {
             ("GET", "/v1/healthz") => (200, r#"{"status": "ok"}"#.to_string()),
-            ("GET", "/v1/stats") => match self.stats_body(ctx.queue_depth) {
-                Ok(body) => (200, body),
+            ("GET", "/v1/stats") => match self.stats_snapshot(ctx.queue_depth) {
+                Ok(snap) => (200, snap.render_json()),
                 Err(error) => error,
             },
-            ("GET", "/v1/metrics") => match self.metrics_body(ctx.queue_depth) {
-                Ok(body) => (200, body),
+            ("GET", "/v1/metrics") => match self.stats_snapshot(ctx.queue_depth) {
+                Ok(snap) => (200, snap.render_prometheus()),
                 Err(error) => error,
             },
             ("POST", "/v1/place") => match core::str::from_utf8(body) {
@@ -683,152 +683,38 @@ impl PlacementService {
         }
     }
 
-    /// Renders the `/v1/stats` body. Unlike `/v1/place` responses this is
-    /// *observability*, not part of the determinism contract.
+    /// Takes one stats snapshot: the recorded counters and histograms,
+    /// plus the cache sizes (read under one cache lock), the store and
+    /// trace counters, and the transport backlog. Store counters stay
+    /// zero on a storeless service, so the stats schema is stable either
+    /// way. Unlike `/v1/place` responses this is *observability*, not part
+    /// of the determinism contract.
     ///
     /// # Errors
     ///
     /// `500` when the cache lock is poisoned.
-    fn stats_body(&self, queue_depth: usize) -> Result<String, (u16, String)> {
-        let snap = self.stats.snapshot();
-        let (entries, bytes, budget) = {
+    fn stats_snapshot(&self, queue_depth: usize) -> Result<StatsSnapshot, (u16, String)> {
+        let mut snap = self.stats.snapshot();
+        {
             let cache = self
                 .cache
                 .lock()
                 .map_err(|_| internal_error("site cache lock poisoned"))?;
-            (cache.len(), cache.bytes(), cache.budget_bytes())
-        };
-        // Store counters are zeros on a storeless service so the stats
-        // schema is stable either way.
-        let (hydrated, quarantined, skipped, writes, write_errors) =
-            self.store.as_ref().map_or((0, 0, 0, 0, 0), |store| {
-                let c = store.counters();
-                (
-                    c.hydrated(),
-                    c.quarantined(),
-                    c.skipped(),
-                    c.writes(),
-                    c.write_errors(),
-                )
-            });
-        Ok(ObjectBuilder::new()
-            .field("requests", snap.requests as f64)
-            .field("place_ok", snap.place_ok as f64)
-            .field("errors", snap.errors as f64)
-            .field("cache_hits", snap.cache_hits as f64)
-            .field("cache_misses", snap.cache_misses as f64)
-            .field("cache_hit_rate", pv_json::rounded(snap.cache_hit_rate(), 4))
-            .field("cache_entries", entries)
-            .field("cache_bytes", bytes)
-            .field("cache_budget_bytes", budget)
-            .field("store_hits", snap.store_hits as f64)
-            .field("store_hydrated", hydrated as f64)
-            .field("store_quarantined", quarantined as f64)
-            .field("store_skipped", skipped as f64)
-            .field("store_writes", writes as f64)
-            .field("store_write_errors", write_errors as f64)
-            .field("queue_depth", queue_depth)
-            .field("p50_ms", pv_json::rounded(snap.p50_ms, 3))
-            .field("p99_ms", pv_json::rounded(snap.p99_ms, 3))
-            .field(
-                "trace_dropped",
-                self.trace_log.as_ref().map_or(0.0, |l| l.dropped() as f64),
-            )
-            // Sparse histogram encodings: what makes the router's merged
-            // quantiles exact instead of a weighted average of quantiles.
-            .field("latency_hist", self.stats.latency_histogram().to_sparse())
-            .field("stage_hists", self.stats.stage_histograms().to_sparse())
-            .build()
-            .to_json_string())
-    }
-
-    /// Renders the Prometheus-text `/v1/metrics` body: counters, rates,
-    /// the request-latency histogram and the per-stage histograms. Like
-    /// `/v1/stats`, observability only — deliberately outside the
-    /// determinism boundary.
-    ///
-    /// # Errors
-    ///
-    /// `500` when the cache lock is poisoned.
-    fn metrics_body(&self, queue_depth: usize) -> Result<String, (u16, String)> {
-        let snap = self.stats.snapshot();
-        let cache_entries = {
-            let cache = self
-                .cache
-                .lock()
-                .map_err(|_| internal_error("site cache lock poisoned"))?;
-            cache.len()
-        };
-        let mut doc = Exposition::new();
-        doc.counter(
-            "pv_requests_total",
-            "Requests routed, any endpoint.",
-            snap.requests,
-        );
-        doc.counter(
-            "pv_place_ok_total",
-            "Successful /v1/place solves.",
-            snap.place_ok,
-        );
-        doc.counter(
-            "pv_errors_total",
-            "Requests answered with a 4xx/5xx.",
-            snap.errors,
-        );
-        doc.counter(
-            "pv_cache_hits_total",
-            "Warm site-cache hits.",
-            snap.cache_hits,
-        );
-        doc.counter(
-            "pv_cache_misses_total",
-            "Cold site extractions.",
-            snap.cache_misses,
-        );
-        doc.counter(
-            "pv_store_hits_total",
-            "Cache hits on store-hydrated entries.",
-            snap.store_hits,
-        );
-        doc.counter(
-            "pv_trace_dropped_total",
-            "Trace events lost to a full ring or failed writes.",
-            self.trace_log.as_ref().map_or(0, |l| l.dropped()),
-        );
-        doc.gauge(
-            "pv_cache_hit_rate",
-            "Cache hits over lookups.",
-            snap.cache_hit_rate(),
-        );
-        doc.gauge(
-            "pv_cache_entries",
-            "Sites in the warm cache.",
-            cache_entries as f64,
-        );
-        doc.gauge(
-            "pv_queue_depth",
-            "Accepted connections awaiting a worker.",
-            queue_depth as f64,
-        );
-        doc.histogram(
-            "pv_place_latency_us",
-            "End-to-end /v1/place latency, microseconds.",
-            None,
-            &self.stats.latency_histogram(),
-        );
-        let stages = self.stats.stage_histograms();
-        for stage in Stage::ALL {
-            let hist = stages.get(stage);
-            if !hist.is_empty() {
-                doc.histogram(
-                    "pv_stage_us",
-                    "Per-stage span duration, microseconds.",
-                    Some(("stage", stage.name())),
-                    hist,
-                );
-            }
+            snap.cache_entries = cache.len() as u64;
+            snap.cache_bytes = cache.bytes() as u64;
+            snap.cache_budget_bytes = cache.budget_bytes() as u64;
         }
-        Ok(doc.finish())
+        if let Some(store) = &self.store {
+            let c = store.counters();
+            snap.store_hydrated = c.hydrated();
+            snap.store_quarantined = c.quarantined();
+            snap.store_skipped = c.skipped();
+            snap.store_writes = c.writes();
+            snap.store_write_errors = c.write_errors();
+        }
+        snap.trace_dropped = self.trace_log.as_ref().map_or(0, |log| log.dropped());
+        snap.queue_depth = queue_depth as u64;
+        Ok(snap)
     }
 }
 
@@ -1225,7 +1111,7 @@ mod tests {
         assert!(hit, "hydrated site must be a warm cache hit");
         assert_eq!(hydrated, baseline, "store must never change response bytes");
         assert_eq!(restarted.stats().snapshot().store_hits, 1);
-        let stats = pv_json::parse(&restarted.stats_body(0).unwrap()).unwrap();
+        let stats = pv_json::parse(&restarted.stats_snapshot(0).unwrap().render_json()).unwrap();
         assert_eq!(stats.get("store_hits").unwrap().as_number(), Some(1.0));
         assert_eq!(stats.get("store_hydrated").unwrap().as_number(), Some(1.0));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1293,7 +1179,7 @@ mod tests {
         let service = PlacementService::new(config);
         service.place(&spec_body(0)).unwrap();
         service.place(&spec_body(1)).unwrap();
-        let stats = service.stats_body(0).unwrap();
+        let stats = service.stats_snapshot(0).unwrap().render_json();
         let parsed = pv_json::parse(&stats).unwrap();
         assert_eq!(parsed.get("cache_entries").unwrap().as_number(), Some(1.0));
         // Re-requesting the evicted site is a miss, not an error.

@@ -48,7 +48,6 @@ impl Minutes {
 /// assert_eq!(noon_jan1.hour_of_day(), 12.0);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimeStep {
     index: u32,
     minute_of_year: u32,
@@ -90,7 +89,6 @@ impl TimeStep {
 /// year (35,040 steps). Coarser steps (e.g. hourly) trade accuracy for speed
 /// in tests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimulationClock {
     step_minutes: u32,
     num_steps: u32,

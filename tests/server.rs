@@ -640,6 +640,20 @@ fn observability_leaves_place_bytes_untouched_at_any_worker_or_shard_count() {
             metrics.contains(&format!("\npv_shards {shards}")),
             "{metrics}"
         );
+        // Both fleet endpoints render one merged snapshot, so they agree.
+        let exposed = |name: &str| {
+            metrics
+                .lines()
+                .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+                .unwrap_or_else(|| panic!("{name} missing: {metrics}"))
+        };
+        let place_ok = stat(router.addr, "place_ok");
+        assert_eq!(place_ok, 21.0);
+        assert_eq!(place_ok, exposed("pv_place_ok_total"));
+        assert_eq!(
+            stat(router.addr, "cache_hits") + stat(router.addr, "cache_misses"),
+            exposed("pv_cache_hits_total") + exposed("pv_cache_misses_total")
+        );
         drop(router);
 
         // Trace propagation: every /v1/place event a worker logged uses
