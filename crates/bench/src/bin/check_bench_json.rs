@@ -2,15 +2,16 @@
 //!
 //! Validates that a bench artifact — `BENCH_evaluator.json` (written by
 //! the `evaluator_throughput` bench and `diag --timings`),
-//! `BENCH_portfolio.json` (written by the `portfolio` bin and
-//! `pvplan suite`) or `BENCH_server.json` (written by the `loadgen` bin)
-//! — exists and matches the schema the perf-trajectory tooling expects: a non-empty JSON array of objects, each carrying the
-//! shared string core (`bench`, `scale`, `name`) plus its variant's
-//! numeric measurements, all finite and non-negative. Evaluator rows
-//! named `kernel_*` additionally act as a perf gate: their
-//! `speedup_vs_cold` (lane kernel vs its scalar reference shape) must
-//! be present and at least 1. Exits non-zero with a diagnostic
-//! otherwise — keeping the artifacts honest and fully offline.
+//! `BENCH_portfolio.json` (written by `pvplan suite`) or
+//! `BENCH_server.json` (written by the `loadgen` bin) — exists and
+//! matches the schema the perf-trajectory tooling expects: a non-empty
+//! JSON array of objects, each carrying the shared string core
+//! (`bench`, `scale`, `name`) plus its variant's numeric measurements,
+//! all finite and non-negative. Evaluator rows named `kernel_*`
+//! additionally act as a perf gate: their `speedup_vs_cold` (lane kernel
+//! vs its scalar reference shape) must be present and at least 1. Exits
+//! non-zero with a diagnostic otherwise — keeping the artifacts honest
+//! and fully offline.
 //!
 //! Also validates the `pvlint --json` artifact, recognised by its
 //! top-level `"tool": "pvlint"` tag: scan counters plus a findings
@@ -418,7 +419,7 @@ fn check_file(path: &std::path::Path) -> Result<(), ()> {
         Err(e) => {
             eprintln!(
                 "Error: cannot read {} ({e}); run the evaluator_throughput \
-                 bench, diag --timings, or the portfolio bin first",
+                 bench, diag --timings, or pvplan suite first",
                 path.display()
             );
             return Err(());

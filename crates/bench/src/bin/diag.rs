@@ -1,7 +1,7 @@
 //! Pipeline diagnostics dump, plus the Sec. V-D before/after timing probe
 //! (`--timings`) whose numbers are recorded in EXPERIMENTS.md.
 //!
-//! Usage: `cargo run -p pv_bench --bin diag --release [--fast|--smoke] [--threads N] [--timings]`
+//! Usage: `cargo run -p pv_bench --bin diag --release -- [--paper|--fast|--smoke] [--threads N] [--timings]`
 //!
 //! `--fast`/`--smoke` select the diagnostics resolution (default: fast,
 //! one year at hourly steps); the `--timings` probe is always pinned to

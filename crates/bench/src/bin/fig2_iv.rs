@@ -4,12 +4,17 @@
 //!
 //! Prints CSV series; also summarizes the qualitative claims of the figure.
 //!
-//! Usage: `cargo run -p pv-bench --bin fig2_iv`
+//! Usage: `cargo run -p pv_bench --bin fig2_iv` (no flags).
 
 use pv_model::SingleDiodeModule;
 use pv_units::{Celsius, Irradiance};
 
 fn main() {
+    let cli: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = pv_runtime::flags::parse(&cli, &[], "") {
+        eprintln!("Error: {e}");
+        std::process::exit(1);
+    }
     let module = SingleDiodeModule::pv_mf165eb3().thermal_k(0.0);
 
     println!("# Fig 2-(a): I-V curves, PV-MF165EB3 single-diode model");

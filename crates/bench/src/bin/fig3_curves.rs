@@ -5,12 +5,17 @@
 //! Middle: normalized Pmax/Voc/Isc vs temperature.
 //! Right: normalized Pmax/Voc/Isc vs irradiance.
 //!
-//! Usage: `cargo run -p pv-bench --bin fig3_curves`
+//! Usage: `cargo run -p pv_bench --bin fig3_curves` (no flags).
 
 use pv_model::{EmpiricalModule, ModuleModel, SingleDiodeModule};
 use pv_units::{Celsius, Irradiance};
 
 fn main() {
+    let cli: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = pv_runtime::flags::parse(&cli, &[], "") {
+        eprintln!("Error: {e}");
+        std::process::exit(1);
+    }
     let emp = EmpiricalModule::pv_mf165eb3().thermal_k(0.0);
     let phys = SingleDiodeModule::pv_mf165eb3().thermal_k(0.0);
     let t25 = Celsius::new(25.0);

@@ -57,6 +57,7 @@
 use pv_bench::json;
 use pv_gis::ScenarioSpec;
 use pv_obs::Timer;
+use pv_runtime::flags::{self, Flag};
 use pv_runtime::Runtime;
 use pv_server::http::send_request;
 use pv_server::{PlacementService, Router, RouterConfig, Server, ServiceConfig};
@@ -79,62 +80,47 @@ struct LoadgenArgs {
     shards_max: usize,
 }
 
+const LOADGEN_FLAGS: &[Flag] = &[
+    Flag::value("--addr"),
+    Flag::switch("--spawn"),
+    Flag::value("--requests"),
+    Flag::value("--clients"),
+    Flag::value("--sites"),
+    Flag::value("--seed"),
+    Flag::value("--threads"),
+    Flag::value("--out"),
+    Flag::switch("--restart-recovery"),
+    Flag::value("--store-dir"),
+    Flag::switch("--router"),
+    Flag::value("--shards-max"),
+];
+
 /// Parses the harness flags. Pure — no I/O, no exits — so the error
 /// paths are unit-testable.
 fn parse_loadgen_args(args: &[String]) -> Result<LoadgenArgs, String> {
-    let mut parsed = LoadgenArgs {
-        addr: None,
-        requests: 200,
-        clients: 4,
-        sites: 8,
-        seed: pv_gis::synth::CORPUS_SEED,
-        threads: 2,
-        out: None,
-        restart_recovery: false,
-        store_dir: "target/loadgen_store".to_string(),
-        router: false,
-        shards_max: 3,
+    let flags = flags::parse(args, LOADGEN_FLAGS, "")?;
+    let positive = |name| flags.get_if::<usize>(name, "a positive integer", |&n| n > 0);
+    let parsed = LoadgenArgs {
+        addr: flags.value("--addr").map(String::from),
+        requests: positive("--requests")?.unwrap_or(200),
+        clients: positive("--clients")?.unwrap_or(4),
+        sites: positive("--sites")?.unwrap_or(8),
+        seed: flags
+            .get("--seed", "an integer")?
+            .unwrap_or(pv_gis::synth::CORPUS_SEED),
+        threads: flags.threads()?.unwrap_or(2),
+        out: flags.value("--out").map(String::from),
+        restart_recovery: flags.has("--restart-recovery"),
+        store_dir: flags
+            .value("--store-dir")
+            .unwrap_or("target/loadgen_store")
+            .to_string(),
+        router: flags.has("--router"),
+        shards_max: flags
+            .get_if("--shards-max", "1..=8", |n| (1..=8).contains(n))?
+            .unwrap_or(3),
     };
-    let mut spawn = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        let positive = |name: &str, spec: &str| -> Result<usize, String> {
-            match spec.parse() {
-                Ok(n) if n > 0 => Ok(n),
-                _ => Err(format!("{name} expects a positive integer, got '{spec}'")),
-            }
-        };
-        match flag.as_str() {
-            "--addr" => parsed.addr = Some(value("--addr")?.clone()),
-            "--spawn" => spawn = true,
-            "--requests" => parsed.requests = positive("--requests", value("--requests")?)?,
-            "--clients" => parsed.clients = positive("--clients", value("--clients")?)?,
-            "--sites" => parsed.sites = positive("--sites", value("--sites")?)?,
-            "--threads" => parsed.threads = positive("--threads", value("--threads")?)?,
-            "--seed" => {
-                let spec = value("--seed")?;
-                parsed.seed = spec
-                    .parse()
-                    .map_err(|e| format!("--seed expects an integer, got '{spec}' ({e})"))?;
-            }
-            "--out" => parsed.out = Some(value("--out")?.clone()),
-            "--restart-recovery" => parsed.restart_recovery = true,
-            "--store-dir" => parsed.store_dir = value("--store-dir")?.clone(),
-            "--router" => parsed.router = true,
-            "--shards-max" => {
-                let spec = value("--shards-max")?;
-                parsed.shards_max = match spec.parse() {
-                    Ok(n) if (1..=8).contains(&n) => n,
-                    _ => return Err(format!("--shards-max expects 1..=8, got '{spec}'")),
-                };
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    if spawn && parsed.addr.is_some() {
+    if flags.has("--spawn") && parsed.addr.is_some() {
         return Err("--spawn and --addr are mutually exclusive".into());
     }
     if parsed.restart_recovery && parsed.addr.is_some() {

@@ -12,6 +12,7 @@ use pv_floorplan::{
 use pv_geom::CellCoord;
 use pv_gis::{lanes, RoofScenario, Site, SolarDataset, SolarExtractor};
 use pv_model::{string_wiring_overhead, ModuleModel, OperatingPoint, Topology};
+use pv_runtime::flags::{self, Flag, Flags};
 use pv_runtime::Runtime;
 use pv_units::{Amperes, Irradiance, Meters, SimulationClock, Volts, WattHours, Watts};
 use std::path::PathBuf;
@@ -40,19 +41,6 @@ pub enum Resolution {
 }
 
 impl Resolution {
-    /// Parses from the harness CLI convention: `--fast` / `--smoke`.
-    #[must_use]
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        if args.iter().any(|a| a == "--smoke") {
-            Self::Smoke
-        } else if args.iter().any(|a| a == "--fast") {
-            Self::Fast
-        } else {
-            Self::Paper
-        }
-    }
-
     /// The simulation clock for this resolution.
     #[must_use]
     pub fn clock(self) -> SimulationClock {
@@ -74,52 +62,23 @@ impl Resolution {
     }
 }
 
-/// Parses the shared `--threads N` harness flag into a [`Runtime`],
-/// falling back to [`Runtime::from_env`] (`PV_THREADS` or the machine's
-/// parallelism) when the flag is absent. Every harness binary accepts the
-/// flag; results are identical for every setting.
-///
-/// A malformed value exits with an error rather than being silently
-/// ignored — a typo must not invalidate the thread count a measurement
-/// run was supposed to pin.
-#[must_use]
-pub fn runtime_from_args() -> Runtime {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(i) = args.iter().position(|a| a == "--threads") else {
-        return Runtime::from_env();
-    };
-    match args.get(i + 1).map(|v| pv_runtime::parse_threads(v)) {
-        Some(Some(n)) => Runtime::with_threads(n),
-        _ => {
-            // pvlint: allow(R03): this IS the CLI error path, shared by every bench bin
-            eprintln!(
-                "Error: --threads expects a positive integer, got {:?}",
-                args.get(i + 1).map_or("nothing", String::as_str)
-            );
-            // Exit 1 like every other workspace CLI error path (the PR 1
-            // convention): bad flags are user errors, not crashes.
-            std::process::exit(1);
-        }
-    }
-}
-
 /// Parsed form of the shared harness CLI
-/// (`[--paper|--fast|--smoke] [--threads N]` plus bin-specific boolean
-/// flags). Built by [`parse_harness_args`]; pure data so bins can
-/// unit-test their argument handling without spawning a process.
+/// (`[--paper|--fast|--smoke] [--threads N]` plus bin-specific switches).
+/// Built by [`parse_harness_args`]; pure data so bins can unit-test their
+/// argument handling without spawning a process.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HarnessArgs {
     /// Explicit resolution flag, if any (bins pick their own default).
     pub resolution: Option<Resolution>,
     /// Explicit `--threads N`, if any.
     pub threads: Option<usize>,
-    /// Bin-specific boolean flags that were present, verbatim.
-    pub extra: Vec<String>,
+    flags: Flags,
 }
 
 impl HarnessArgs {
     /// The runtime this invocation pinned: `--threads N` when given,
-    /// otherwise [`Runtime::from_env`].
+    /// otherwise [`Runtime::from_env`] (`PV_THREADS` or the machine's
+    /// parallelism). Results are identical for every setting.
     #[must_use]
     pub fn runtime(&self) -> Runtime {
         self.threads
@@ -132,48 +91,48 @@ impl HarnessArgs {
         self.resolution.unwrap_or(default)
     }
 
-    /// Whether a bin-specific flag (from `extra_flags`) was passed.
+    /// Whether a bin-specific switch (from `extra_flags`) was passed.
     #[must_use]
     pub fn has(&self, flag: &str) -> bool {
-        self.extra.iter().any(|present| present == flag)
+        self.flags.has(flag)
     }
 }
 
-/// Pure parser behind the harness bins' shared CLI, per the workspace
+/// Pure parser behind every harness bin's CLI, per the workspace
 /// error-path convention: parse failures are `Err` strings the bin
 /// prints as `Error: …` before exiting 1 — never panics, and unknown
-/// flags are rejected instead of silently ignored. `extra_flags` lists
-/// the bin's own boolean flags (e.g. `--timings`).
+/// flags are rejected instead of silently ignored, so a typo cannot
+/// change what a run measures. `extra_flags` lists the bin's own
+/// switches (e.g. `--timings`). When several resolution flags are
+/// given, `--smoke` wins over `--fast`, which wins over `--paper`.
 ///
 /// # Errors
 ///
 /// A message naming the offending flag or `--threads` value.
-pub fn parse_harness_args(args: &[String], extra_flags: &[&str]) -> Result<HarnessArgs, String> {
-    let mut parsed = HarnessArgs {
-        resolution: None,
-        threads: None,
-        extra: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--paper" => parsed.resolution = Some(Resolution::Paper),
-            "--fast" => parsed.resolution = Some(Resolution::Fast),
-            "--smoke" => parsed.resolution = Some(Resolution::Smoke),
-            "--threads" => {
-                let value = it
-                    .next()
-                    .ok_or("--threads expects a positive integer, got nothing")?;
-                let n = pv_runtime::parse_threads(value).ok_or_else(|| {
-                    format!("--threads expects a positive integer, got '{value}'")
-                })?;
-                parsed.threads = Some(n);
-            }
-            other if extra_flags.contains(&other) => parsed.extra.push(other.to_string()),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(parsed)
+pub fn parse_harness_args(
+    args: &[String],
+    extra_flags: &[&'static str],
+) -> Result<HarnessArgs, String> {
+    let mut table = vec![
+        Flag::switch("--paper"),
+        Flag::switch("--fast"),
+        Flag::switch("--smoke"),
+        Flag::value("--threads"),
+    ];
+    table.extend(extra_flags.iter().map(|&name| Flag::switch(name)));
+    let flags = flags::parse(args, &table, "")?;
+    let resolution = [
+        ("--smoke", Resolution::Smoke),
+        ("--fast", Resolution::Fast),
+        ("--paper", Resolution::Paper),
+    ]
+    .into_iter()
+    .find_map(|(flag, resolution)| flags.has(flag).then_some(resolution));
+    Ok(HarnessArgs {
+        resolution,
+        threads: flags.threads()?,
+        flags,
+    })
 }
 
 /// Extracts the solar dataset of a paper roof at the given resolution,
@@ -906,6 +865,22 @@ mod tests {
         assert_eq!(records.len(), 3);
         let doc = render_bench_records("unit", &records);
         assert!(json::parse(&doc).is_ok());
+    }
+
+    #[test]
+    fn harness_parser_rejects_typos_and_ranks_resolution_flags() {
+        let strings = |args: &[&str]| args.iter().map(ToString::to_string).collect::<Vec<_>>();
+        let err = parse_harness_args(&strings(&["--smok"]), &[]).unwrap_err();
+        assert_eq!(err, "unknown flag '--smok'");
+        // A bin's own switch is accepted only by the bin that declares it.
+        assert!(parse_harness_args(&strings(&["--timings"]), &[]).is_err());
+        let args = parse_harness_args(
+            &strings(&["--fast", "--smoke", "--paper", "--threads", "3"]),
+            &[],
+        )
+        .unwrap();
+        assert_eq!(args.resolution, Some(Resolution::Smoke));
+        assert_eq!(args.threads, Some(3));
     }
 
     #[test]

@@ -254,12 +254,15 @@ pub fn rounded(x: f64, decimals: u32) -> f64 {
 ///
 /// # Errors
 ///
-/// Returns a human-readable message (with byte offset) on malformed input
-/// or trailing garbage.
+/// Returns a human-readable message (with byte offset) on malformed input,
+/// trailing garbage, or arrays and objects nested deeper than
+/// [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -270,9 +273,18 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
     Ok(value)
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so without a bound a small body of brackets
+/// (`[[[…` 10,000 deep is 20 KB) overflows a 2 MiB worker stack and
+/// aborts the process; past the bound it returns an error instead.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -310,11 +322,29 @@ impl Parser<'_> {
             Some(b't') => self.eat_literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.eat_literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(JsonValue::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<JsonValue, String> {
@@ -410,13 +440,19 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are trustworthy).
-                    let rest = &self.bytes[self.pos..];
-                    let s = core::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let ch = s.chars().next().ok_or("unterminated string")?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole run up to the next quote or escape
+                    // in one slice. Both delimiters are ASCII and the
+                    // input is a &str, so the run ends on a char boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(
+                        self.input
+                            .get(self.pos..run)
+                            .ok_or("split UTF-8 sequence")?,
+                    );
+                    self.pos = run;
                 }
             }
         }
@@ -504,6 +540,12 @@ mod tests {
             parse(r#""a\n\"b\" é""#).unwrap(),
             JsonValue::String("a\n\"b\" é".into())
         );
+        // Multi-byte UTF-8 directly before and after escapes and \u
+        // sequences: each unescaped run is copied whole.
+        assert_eq!(
+            parse(r#""é\"ü\\日本\u00e9€\n😀""#).unwrap(),
+            JsonValue::String("é\"ü\\日本é€\n😀".into())
+        );
         assert_eq!(
             parse("[1, [2, {}], {\"k\": []}]")
                 .unwrap()
@@ -529,6 +571,23 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_an_error_not_the_stack() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // The 20 KB body that used to overflow a 2 MiB worker stack.
+        let body = format!("{{\"spec\": {}}}", nest(10_000));
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&body).is_err())
+            .unwrap()
+            .join();
+        assert_eq!(parsed.ok(), Some(true));
+        assert!(parse(&format!("{}1{}", "{\"a\": ".repeat(200), "}".repeat(200))).is_err());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! writes the machine-readable artifact validated by `check_bench_json`.
 
 use pv_lint::{lint_workspace, render_human, report_json, rules};
+use pv_runtime::flags::{self, Flag};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -28,33 +29,20 @@ struct PvlintArgs {
     list_rules: bool,
 }
 
+const PVLINT_FLAGS: &[Flag] = &[
+    Flag::value("--root"),
+    Flag::value("--json"),
+    Flag::switch("--list-rules"),
+];
+
 /// Pure argument parser, unit-testable without a process.
 fn parse_pvlint_args(args: &[String]) -> Result<PvlintArgs, String> {
-    let mut parsed = PvlintArgs {
-        root: PathBuf::from(DEFAULT_ROOT),
-        json: None,
-        list_rules: false,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--root" => {
-                let dir = it.next().ok_or("--root needs a directory argument")?;
-                parsed.root = PathBuf::from(dir);
-            }
-            "--json" => {
-                let path = it.next().ok_or("--json needs a file argument")?;
-                parsed.json = Some(PathBuf::from(path));
-            }
-            "--list-rules" => parsed.list_rules = true,
-            other => {
-                return Err(format!(
-                "unknown flag '{other}' (usage: pvlint [--root DIR] [--json PATH] [--list-rules])"
-            ))
-            }
-        }
-    }
-    Ok(parsed)
+    let flags = flags::parse(args, PVLINT_FLAGS, "")?;
+    Ok(PvlintArgs {
+        root: PathBuf::from(flags.value("--root").unwrap_or(DEFAULT_ROOT)),
+        json: flags.value("--json").map(PathBuf::from),
+        list_rules: flags.has("--list-rules"),
+    })
 }
 
 /// Runs the pass; `Ok(true)` means the tree is clean.

@@ -12,13 +12,18 @@
 //!        [--threads N] [--full] [--out PATH]
 //! pvplan serve [--port P] [--threads N] [--cache-mb MB]
 //!        [--days D] [--step MIN] [--profile standard|smoke|tiny]
-//!        [--store-dir PATH] [--port-file PATH] [--watch-stdin]
+//!        [--store-dir PATH] [--port-file PATH] [--trace-log PATH]
+//!        [--watch-stdin]
 //! pvplan route --shards N [--port P] [--threads N] [--cache-mb MB]
 //!        [--days D] [--step MIN] [--profile standard|smoke|tiny]
-//!        [--store-dir PATH] [--port-file PATH] [--watch-stdin]
+//!        [--store-dir PATH] [--port-file PATH] [--trace-log PATH]
+//!        [--watch-stdin]
 //! pvplan extract --store-dir PATH [--sites N] [--seed S]
 //!        [--days D] [--step MIN]
 //! ```
+//!
+//! Every command and subcommand also takes `--help`/`-h`. An unknown
+//! flag exits 1 with an `Error:` line, like every other bad flag.
 //!
 //! `pvplan suite` runs the scenario-corpus portfolio: every site of a
 //! preset through extraction, greedy, anneal and (where feasible) the
@@ -54,6 +59,7 @@ use pv_bench::portfolio::{drive, PortfolioOptions};
 use pvfloorplan::floorplan::{greedy_placement_with_map, render, traditional_placement_with_map};
 use pvfloorplan::gis::synth::{CorpusPreset, CORPUS_SEED};
 use pvfloorplan::prelude::*;
+use pvfloorplan::runtime::flags::{self, Flag, Flags};
 use pvfloorplan::server::{PlacementService, Server, ServiceConfig};
 use std::sync::Arc;
 
@@ -120,6 +126,26 @@ THREADING:
   for every setting)
 ";
 
+/// The main command's flags. The `--help`/`-h` pair closes every table.
+const MAIN_FLAGS: &[Flag] = &[
+    Flag::value("--width"),
+    Flag::value("--depth"),
+    Flag::value("--tilt"),
+    Flag::value("--azimuth"),
+    Flag::value("--series"),
+    Flag::value("--strings"),
+    Flag::value("--days"),
+    Flag::value("--step"),
+    Flag::value("--seed"),
+    Flag::value("--threads"),
+    Flag::switch("--portrait"),
+    Flag::value("--chimney"),
+    Flag::value("--hvac"),
+    Flag::switch("--help"),
+    Flag::switch("-h"),
+];
+
+#[derive(Debug)]
 struct Args {
     width: f64,
     depth: f64,
@@ -134,100 +160,84 @@ struct Args {
     portrait: bool,
     chimneys: Vec<(f64, f64, f64)>,
     hvacs: Vec<(f64, f64, f64)>,
+    help: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        width: 12.0,
-        depth: 5.0,
-        tilt: 26.0,
-        azimuth: 180.0,
-        series: 4,
-        strings: 2,
-        days: 365,
-        step: 60,
-        seed: 42,
-        threads: None,
-        portrait: false,
-        chimneys: Vec::new(),
-        hvacs: Vec::new(),
+/// Parses the main command's flags. Pure — no I/O, no exits — like every
+/// subcommand parser, so the error paths are unit-testable.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let flags = flags::parse(args, MAIN_FLAGS, "")?;
+    let number = |name| flags.get::<f64>(name, "a number");
+    let count = |name| flags.get::<usize>(name, "an integer");
+    let obstacles = |name| -> Result<Vec<_>, String> {
+        flags
+            .values(name)
+            .map(|spec| obstacle(name, spec))
+            .collect()
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--width" => args.width = value("--width")?.parse().map_err(|e| format!("{e}"))?,
-            "--depth" => args.depth = value("--depth")?.parse().map_err(|e| format!("{e}"))?,
-            "--tilt" => args.tilt = value("--tilt")?.parse().map_err(|e| format!("{e}"))?,
-            "--azimuth" => {
-                args.azimuth = value("--azimuth")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--series" => args.series = value("--series")?.parse().map_err(|e| format!("{e}"))?,
-            "--strings" => {
-                args.strings = value("--strings")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--days" => args.days = value("--days")?.parse().map_err(|e| format!("{e}"))?,
-            "--step" => args.step = value("--step")?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--threads" => {
-                let spec = value("--threads")?;
-                match pvfloorplan::runtime::parse_threads(&spec) {
-                    Some(n) => args.threads = Some(n),
-                    None => {
-                        return Err(format!(
-                            "--threads expects a positive integer, got '{spec}'"
-                        ))
-                    }
-                }
-            }
-            "--portrait" => args.portrait = true,
-            "--chimney" | "--hvac" => {
-                let spec = value(&flag)?;
-                let parts: Vec<f64> = spec
-                    .split(',')
-                    .map(|p| p.trim().parse().map_err(|e| format!("{spec}: {e}")))
-                    .collect::<Result<_, _>>()?;
-                let &[x, y, h] = parts.as_slice() else {
-                    return Err(format!("{flag} expects X,Y,H (metres), got '{spec}'"));
-                };
-                let triple = (x, y, h);
-                if flag == "--chimney" {
-                    args.chimneys.push(triple);
-                } else {
-                    args.hvacs.push(triple);
-                }
-            }
-            "--help" | "-h" => {
-                println!("{HELP}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag '{other}' (try --help)")),
-        }
-    }
-    if !(args.width > 0.0 && args.width.is_finite() && args.depth > 0.0 && args.depth.is_finite()) {
+    let (days, step) = validate_clock_overrides(&flags)?;
+    let args = Args {
+        width: number("--width")?.unwrap_or(12.0),
+        depth: number("--depth")?.unwrap_or(5.0),
+        tilt: number("--tilt")?.unwrap_or(26.0),
+        azimuth: number("--azimuth")?.unwrap_or(180.0),
+        series: count("--series")?.unwrap_or(4),
+        strings: count("--strings")?.unwrap_or(2),
+        days: days.unwrap_or(365),
+        step: step.unwrap_or(60),
+        seed: flags.get("--seed", "an integer")?.unwrap_or(42),
+        threads: flags.threads()?,
+        portrait: flags.has("--portrait"),
+        chimneys: obstacles("--chimney")?,
+        hvacs: obstacles("--hvac")?,
+        help: wants_help(&flags),
+    };
+    let positive = |m: f64| m > 0.0 && m.is_finite();
+    if !(args.help || (positive(args.width) && positive(args.depth))) {
         return Err(format!(
             "--width and --depth must be positive metres, got {} x {}",
             args.width, args.depth
         ));
     }
-    if args.days == 0 || args.step == 0 {
-        return Err("--days and --step must be positive".to_string());
-    }
-    if args.days > 365 {
-        return Err(format!(
-            "--days is capped at one year (365), got {}",
-            args.days
-        ));
-    }
-    if !(1440u32).is_multiple_of(args.step) {
-        return Err(format!(
-            "--step must divide the 1440-minute day evenly, got {}",
-            args.step
-        ));
-    }
     Ok(args)
+}
+
+/// Parses one `--chimney`/`--hvac` value: `X,Y,H` in metres.
+fn obstacle(flag: &str, spec: &str) -> Result<(f64, f64, f64), String> {
+    let parts: Vec<f64> = spec
+        .split(',')
+        .map(|p| p.trim().parse().map_err(|e| format!("{spec}: {e}")))
+        .collect::<Result<_, _>>()?;
+    let &[x, y, h] = parts.as_slice() else {
+        return Err(format!("{flag} expects X,Y,H (metres), got '{spec}'"));
+    };
+    Ok((x, y, h))
+}
+
+/// Whether the command line asked for the help text.
+fn wants_help(flags: &Flags) -> bool {
+    flags.has("--help") || flags.has("-h")
+}
+
+/// The `--days`/`--step` overrides, `None` when absent. The one check of
+/// these flags, shared by the main command and every subcommand that
+/// takes them.
+fn validate_clock_overrides(flags: &Flags) -> Result<(Option<u32>, Option<u32>), String> {
+    let days = flags.get::<u32>("--days", "an integer")?;
+    let step = flags.get::<u32>("--step", "an integer")?;
+    if let Some(days) = days {
+        if days == 0 || days > 365 {
+            return Err(format!("--days must be in 1..=365, got {days}"));
+        }
+    }
+    if let Some(step) = step {
+        if step == 0 || !1440u32.is_multiple_of(step) {
+            return Err(format!(
+                "--step must divide the 1440-minute day evenly, got {step}"
+            ));
+        }
+    }
+    Ok((days, step))
 }
 
 /// Parsed `pvplan suite` flags.
@@ -241,47 +251,36 @@ struct SuiteArgs {
     help: bool,
 }
 
-/// Parses the `suite` flags (everything after `suite`). Pure — no I/O, no
-/// exits — so the error paths are unit-testable.
+const SUITE_FLAGS: &[Flag] = &[
+    Flag::value("--preset"),
+    Flag::value("--seed"),
+    Flag::value("--threads"),
+    Flag::switch("--full"),
+    Flag::value("--out"),
+    Flag::switch("--help"),
+    Flag::switch("-h"),
+];
+
+/// Parses the `suite` flags (everything after `suite`).
 fn parse_suite_args(args: &[String]) -> Result<SuiteArgs, String> {
-    let mut parsed = SuiteArgs {
-        preset: CorpusPreset::Smoke,
-        seed: CORPUS_SEED,
-        threads: None,
-        full: false,
-        out: None,
-        help: false,
+    let flags = flags::parse(args, SUITE_FLAGS, "suite ")?;
+    let preset = match flags.value("--preset") {
+        None => CorpusPreset::Smoke,
+        Some(name) => CorpusPreset::from_name(name).ok_or_else(|| {
+            format!(
+                "unknown preset '{name}' (expected one of {})",
+                CorpusPreset::all().map(|p| p.name()).join(", ")
+            )
+        })?,
     };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--preset" => {
-                let name = value("--preset")?;
-                parsed.preset = CorpusPreset::from_name(name)
-                    .ok_or_else(|| format!("unknown preset '{name}' (try smoke)"))?;
-            }
-            "--seed" => {
-                parsed.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--threads" => {
-                let spec = value("--threads")?;
-                parsed.threads =
-                    Some(pvfloorplan::runtime::parse_threads(spec).ok_or_else(|| {
-                        format!("--threads expects a positive integer, got '{spec}'")
-                    })?);
-            }
-            "--full" => parsed.full = true,
-            "--out" => parsed.out = Some(value("--out")?.clone()),
-            "--help" | "-h" => parsed.help = true,
-            other => return Err(format!("unknown suite flag '{other}' (try --help)")),
-        }
-    }
-    Ok(parsed)
+    Ok(SuiteArgs {
+        preset,
+        seed: flags.get("--seed", "an integer")?.unwrap_or(CORPUS_SEED),
+        threads: flags.threads()?,
+        full: flags.has("--full"),
+        out: flags.value("--out").map(String::from),
+        help: wants_help(&flags),
+    })
 }
 
 /// Runs the `suite` subcommand.
@@ -350,103 +349,51 @@ fn resolve_config(
     Ok(config.with_cache_bytes(cache_mb << 20))
 }
 
-/// Parses the `serve` flags (everything after `serve`). Pure, like
-/// [`parse_suite_args`].
+/// The `serve` flags; `route` takes these plus `--shards`.
+const SERVE_FLAGS: &[Flag] = &[
+    Flag::value("--port"),
+    Flag::value("--threads"),
+    Flag::value("--cache-mb"),
+    Flag::value("--days"),
+    Flag::value("--step"),
+    Flag::value("--profile"),
+    Flag::value("--store-dir"),
+    Flag::value("--port-file"),
+    Flag::value("--trace-log"),
+    Flag::switch("--watch-stdin"),
+    Flag::switch("--help"),
+    Flag::switch("-h"),
+];
+
+/// Parses the `serve` flags (everything after `serve`).
 fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
-    let mut parsed = ServeArgs {
-        port: 8080,
-        threads: None,
-        profile: "standard".to_string(),
-        cache_mb: None,
-        days: None,
-        step: None,
-        store_dir: None,
-        port_file: None,
-        trace_log: None,
-        watch_stdin: false,
-        help: false,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--port" => {
-                let spec = value("--port")?;
-                parsed.port = spec
-                    .parse()
-                    .map_err(|_| format!("--port expects 0..=65535, got '{spec}'"))?;
-            }
-            "--threads" => {
-                let spec = value("--threads")?;
-                parsed.threads =
-                    Some(pvfloorplan::runtime::parse_threads(spec).ok_or_else(|| {
-                        format!("--threads expects a positive integer, got '{spec}'")
-                    })?);
-            }
-            "--profile" => {
-                let name = value("--profile")?;
-                base_config(name)?; // validate early, fail with the flag name
-                parsed.profile = name.clone();
-            }
-            "--trace-log" => parsed.trace_log = Some(value("--trace-log")?.clone()),
-            "--cache-mb" => {
-                let spec = value("--cache-mb")?;
-                // The upper bound keeps `cache_mb << 20` from silently
-                // overflowing usize into a tiny (or zero) byte budget.
-                parsed.cache_mb = match spec.parse() {
-                    Ok(mb) if mb > 0 && mb <= usize::MAX >> 20 => Some(mb),
-                    Ok(mb) if mb > 0 => {
-                        return Err(format!("--cache-mb is out of range, got {mb}"));
-                    }
-                    _ => {
-                        return Err(format!(
-                            "--cache-mb expects a positive integer, got '{spec}'"
-                        ))
-                    }
-                };
-            }
-            "--days" => {
-                parsed.days = Some(
-                    value("--days")?
-                        .parse()
-                        .map_err(|e| format!("--days: {e}"))?,
-                );
-            }
-            "--step" => {
-                parsed.step = Some(
-                    value("--step")?
-                        .parse()
-                        .map_err(|e| format!("--step: {e}"))?,
-                );
-            }
-            "--store-dir" => parsed.store_dir = Some(value("--store-dir")?.clone()),
-            "--port-file" => parsed.port_file = Some(value("--port-file")?.clone()),
-            "--watch-stdin" => parsed.watch_stdin = true,
-            "--help" | "-h" => parsed.help = true,
-            other => return Err(format!("unknown serve flag '{other}' (try --help)")),
-        }
-    }
-    validate_clock_overrides(parsed.days, parsed.step)?;
-    Ok(parsed)
+    serve_args(&flags::parse(args, SERVE_FLAGS, "serve ")?)
 }
 
-/// Shared `--days`/`--step` validation for the serving subcommands.
-fn validate_clock_overrides(days: Option<u32>, step: Option<u32>) -> Result<(), String> {
-    if let Some(days) = days {
-        if days == 0 || days > 365 {
-            return Err(format!("--days must be in 1..=365, got {days}"));
-        }
+/// Reads and validates the serving flags `serve` and `route` share.
+fn serve_args(flags: &Flags) -> Result<ServeArgs, String> {
+    let profile = flags.value("--profile").unwrap_or("standard");
+    base_config(profile)?; // validate early, fail with the flag name
+    let cache_mb = flags.get_if::<usize>("--cache-mb", "a positive integer", |&mb| mb > 0)?;
+    // The upper bound keeps `cache_mb << 20` from silently overflowing
+    // usize into a tiny (or zero) byte budget.
+    if let Some(mb) = cache_mb.filter(|&mb| mb > usize::MAX >> 20) {
+        return Err(format!("--cache-mb is out of range, got {mb}"));
     }
-    if let Some(step) = step {
-        if step == 0 || !1440u32.is_multiple_of(step) {
-            return Err(format!(
-                "--step must divide the 1440-minute day evenly, got {step}"
-            ));
-        }
-    }
-    Ok(())
+    let (days, step) = validate_clock_overrides(flags)?;
+    Ok(ServeArgs {
+        port: flags.get("--port", "0..=65535")?.unwrap_or(8080),
+        threads: flags.threads()?,
+        profile: profile.to_string(),
+        cache_mb,
+        days,
+        step,
+        store_dir: flags.value("--store-dir").map(String::from),
+        port_file: flags.value("--port-file").map(String::from),
+        trace_log: flags.value("--trace-log").map(String::from),
+        watch_stdin: flags.has("--watch-stdin"),
+        help: wants_help(flags),
+    })
 }
 
 /// Blocks until stdin reaches EOF. With `--watch-stdin` the supervising
@@ -529,111 +476,31 @@ fn write_port_file(path: Option<&str>, addr: std::net::SocketAddr) -> Result<(),
     Ok(())
 }
 
-/// Parsed `pvplan route` flags. The clock/cache/profile flags mirror
-/// `serve` — they are forwarded to every worker.
+/// Parsed `pvplan route` flags: the shard count plus the `serve` flags,
+/// whose clock/cache/profile values are forwarded to every worker.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct RouteArgs {
     shards: usize,
-    port: u16,
-    threads: Option<usize>,
-    profile: String,
-    cache_mb: Option<usize>,
-    days: Option<u32>,
-    step: Option<u32>,
-    store_dir: String,
-    port_file: Option<String>,
-    trace_log: Option<String>,
-    watch_stdin: bool,
-    help: bool,
+    serve: ServeArgs,
 }
 
-/// Parses the `route` flags (everything after `route`). Pure, like
-/// [`parse_serve_args`].
+/// Parses the `route` flags (everything after `route`).
 fn parse_route_args(args: &[String]) -> Result<RouteArgs, String> {
-    let mut parsed = RouteArgs {
-        shards: 0,
-        port: 8080,
-        threads: None,
-        profile: "standard".to_string(),
-        cache_mb: None,
-        days: None,
-        step: None,
-        store_dir: "target/router_store".to_string(),
-        port_file: None,
-        trace_log: None,
-        watch_stdin: false,
-        help: false,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--shards" => {
-                parsed.shards = match value("--shards")?.parse() {
-                    Ok(n) if (1..=64).contains(&n) => n,
-                    _ => return Err("--shards expects an integer in 1..=64".to_string()),
-                };
-            }
-            "--port" => {
-                let spec = value("--port")?;
-                parsed.port = spec
-                    .parse()
-                    .map_err(|_| format!("--port expects 0..=65535, got '{spec}'"))?;
-            }
-            "--threads" => {
-                let spec = value("--threads")?;
-                parsed.threads =
-                    Some(pvfloorplan::runtime::parse_threads(spec).ok_or_else(|| {
-                        format!("--threads expects a positive integer, got '{spec}'")
-                    })?);
-            }
-            "--profile" => {
-                let name = value("--profile")?;
-                base_config(name)?;
-                parsed.profile = name.clone();
-            }
-            "--cache-mb" => {
-                parsed.cache_mb = match value("--cache-mb")?.parse() {
-                    Ok(mb) if mb > 0 && mb <= usize::MAX >> 20 => Some(mb),
-                    _ => return Err("--cache-mb expects a positive integer in range".to_string()),
-                };
-            }
-            "--days" => {
-                parsed.days = Some(
-                    value("--days")?
-                        .parse()
-                        .map_err(|e| format!("--days: {e}"))?,
-                );
-            }
-            "--step" => {
-                parsed.step = Some(
-                    value("--step")?
-                        .parse()
-                        .map_err(|e| format!("--step: {e}"))?,
-                );
-            }
-            "--store-dir" => parsed.store_dir = value("--store-dir")?.clone(),
-            "--port-file" => parsed.port_file = Some(value("--port-file")?.clone()),
-            "--trace-log" => parsed.trace_log = Some(value("--trace-log")?.clone()),
-            "--watch-stdin" => parsed.watch_stdin = true,
-            "--help" | "-h" => parsed.help = true,
-            other => return Err(format!("unknown route flag '{other}' (try --help)")),
-        }
+    let table = [&[Flag::value("--shards")], SERVE_FLAGS].concat();
+    let flags = flags::parse(args, &table, "route ")?;
+    let serve = serve_args(&flags)?;
+    match flags.get_if("--shards", "an integer in 1..=64", |n| (1..=64).contains(n))? {
+        Some(shards) => Ok(RouteArgs { shards, serve }),
+        None if serve.help => Ok(RouteArgs { shards: 0, serve }),
+        None => Err("route requires --shards N (1..=64)".to_string()),
     }
-    validate_clock_overrides(parsed.days, parsed.step)?;
-    if !parsed.help && parsed.shards == 0 {
-        return Err("route requires --shards N (1..=64)".to_string());
-    }
-    Ok(parsed)
 }
 
 /// Runs the `route` subcommand: spawns the worker fleet behind a
 /// consistent-hash router and blocks like `serve` does.
 fn run_route(args: &[String]) -> Result<(), String> {
-    let parsed = parse_route_args(args)?;
-    if parsed.help {
+    let RouteArgs { shards, serve } = parse_route_args(args)?;
+    if serve.help {
         println!("{HELP}");
         return Ok(());
     }
@@ -643,28 +510,29 @@ fn run_route(args: &[String]) -> Result<(), String> {
     let mut worker_args = vec![
         "serve".to_string(),
         "--profile".to_string(),
-        parsed.profile.clone(),
+        serve.profile.clone(),
     ];
-    if let Some(threads) = parsed.threads {
+    if let Some(threads) = serve.threads {
         worker_args.extend(["--threads".to_string(), threads.to_string()]);
     }
-    if let Some(cache_mb) = parsed.cache_mb {
+    if let Some(cache_mb) = serve.cache_mb {
         worker_args.extend(["--cache-mb".to_string(), cache_mb.to_string()]);
     }
-    if let Some(days) = parsed.days {
+    if let Some(days) = serve.days {
         worker_args.extend(["--days".to_string(), days.to_string()]);
     }
-    if let Some(step) = parsed.step {
+    if let Some(step) = serve.step {
         worker_args.extend(["--step".to_string(), step.to_string()]);
     }
-    let mut config = pvfloorplan::server::RouterConfig::new(parsed.shards, exe, &parsed.store_dir);
+    let store_dir = serve.store_dir.as_deref().unwrap_or("target/router_store");
+    let mut config = pvfloorplan::server::RouterConfig::new(shards, exe, store_dir);
     config.worker_args = worker_args;
-    if let Some(path) = &parsed.trace_log {
+    if let Some(path) = &serve.trace_log {
         config.trace_log_base = Some(path.into());
     }
 
     let mut router = pvfloorplan::server::Router::start(config)?;
-    if let Some(path) = &parsed.trace_log {
+    if let Some(path) = &serve.trace_log {
         let log = pvfloorplan::obs::TraceLog::create(std::path::Path::new(path))
             .map_err(|e| format!("creating trace log '{path}': {e}"))?;
         router = router.with_trace_log(Arc::new(log));
@@ -672,27 +540,27 @@ fn run_route(args: &[String]) -> Result<(), String> {
     let router = Arc::new(router);
     // The proxy jobs are I/O-bound (blocked on a shard), so the transport
     // pool must cover the fleet's total solve concurrency to saturate it.
-    let per_worker = parsed
+    let per_worker = serve
         .threads
         .unwrap_or_else(|| Runtime::from_env().threads());
-    let transport = Runtime::with_threads(parsed.shards * per_worker + 2);
+    let transport = Runtime::with_threads(shards * per_worker + 2);
     let server = Server::bind(
-        ("127.0.0.1", parsed.port),
+        ("127.0.0.1", serve.port),
         Arc::clone(&router),
         transport,
         64,
     )
-    .map_err(|e| format!("binding port {}: {e}", parsed.port))?;
-    write_port_file(parsed.port_file.as_deref(), server.local_addr())?;
+    .map_err(|e| format!("binding port {}: {e}", serve.port))?;
+    write_port_file(serve.port_file.as_deref(), server.local_addr())?;
     println!(
         "routing on http://{} ({} shard(s), profile {}, store root '{}')",
         server.local_addr(),
-        parsed.shards,
-        parsed.profile,
-        parsed.store_dir
+        shards,
+        serve.profile,
+        store_dir
     );
     println!("endpoints: POST /v1/place   GET /v1/healthz   GET /v1/stats   GET /v1/metrics");
-    if parsed.watch_stdin {
+    if serve.watch_stdin {
         wait_for_stdin_eof();
         server.shutdown(); // drains, then tears the worker fleet down
         return Ok(());
@@ -713,59 +581,31 @@ struct ExtractArgs {
     help: bool,
 }
 
-/// Parses the `extract` flags (everything after `extract`). Pure, like
-/// [`parse_serve_args`].
+const EXTRACT_FLAGS: &[Flag] = &[
+    Flag::value("--store-dir"),
+    Flag::value("--sites"),
+    Flag::value("--seed"),
+    Flag::value("--days"),
+    Flag::value("--step"),
+    Flag::switch("--help"),
+    Flag::switch("-h"),
+];
+
+/// Parses the `extract` flags (everything after `extract`).
 fn parse_extract_args(args: &[String]) -> Result<ExtractArgs, String> {
+    let flags = flags::parse(args, EXTRACT_FLAGS, "extract ")?;
+    let (days, step) = validate_clock_overrides(&flags)?;
     let defaults = ServiceConfig::standard();
-    let mut parsed = ExtractArgs {
-        store_dir: None,
-        sites: 4,
-        seed: CORPUS_SEED,
-        days: defaults.days,
-        step: defaults.step_minutes,
-        help: false,
+    let parsed = ExtractArgs {
+        store_dir: flags.value("--store-dir").map(String::from),
+        sites: flags
+            .get_if("--sites", "a positive integer", |&n| n > 0)?
+            .unwrap_or(4),
+        seed: flags.get("--seed", "an integer")?.unwrap_or(CORPUS_SEED),
+        days: days.unwrap_or(defaults.days),
+        step: step.unwrap_or(defaults.step_minutes),
+        help: wants_help(&flags),
     };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--store-dir" => parsed.store_dir = Some(value("--store-dir")?.clone()),
-            "--sites" => {
-                parsed.sites = match value("--sites")?.parse() {
-                    Ok(n) if n > 0 => n,
-                    _ => return Err("--sites expects a positive integer".to_string()),
-                };
-            }
-            "--seed" => {
-                parsed.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--days" => {
-                parsed.days = value("--days")?
-                    .parse()
-                    .map_err(|e| format!("--days: {e}"))?;
-            }
-            "--step" => {
-                parsed.step = value("--step")?
-                    .parse()
-                    .map_err(|e| format!("--step: {e}"))?;
-            }
-            "--help" | "-h" => parsed.help = true,
-            other => return Err(format!("unknown extract flag '{other}' (try --help)")),
-        }
-    }
-    if parsed.days == 0 || parsed.days > 365 {
-        return Err(format!("--days must be in 1..=365, got {}", parsed.days));
-    }
-    if parsed.step == 0 || !1440u32.is_multiple_of(parsed.step) {
-        return Err(format!(
-            "--step must divide the 1440-minute day evenly, got {}",
-            parsed.step
-        ));
-    }
     if !parsed.help && parsed.store_dir.is_none() {
         return Err("extract requires --store-dir PATH".to_string());
     }
@@ -841,7 +681,11 @@ fn run() -> Result<(), String> {
         Some("extract") => return run_extract(rest),
         _ => {}
     }
-    let args = parse_args()?;
+    let args = parse_args(cli.get(1..).unwrap_or_default())?;
+    if args.help {
+        println!("{HELP}");
+        return Ok(());
+    }
 
     let mut builder = RoofBuilder::new(Meters::new(args.width), Meters::new(args.depth))
         .tilt(Degrees::new(args.tilt))
@@ -923,53 +767,11 @@ fn run() -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_extract_args, parse_route_args, parse_serve_args, parse_suite_args, HELP};
-
-    /// Every flag the three parsers accept, by subcommand. Adding a flag
-    /// to `parse_args`/`parse_suite_args`/`parse_serve_args` without
-    /// listing it here (and in `HELP`) fails the pin below.
-    const MAIN_FLAGS: &[&str] = &[
-        "--width",
-        "--depth",
-        "--tilt",
-        "--azimuth",
-        "--series",
-        "--strings",
-        "--days",
-        "--step",
-        "--seed",
-        "--threads",
-        "--portrait",
-        "--chimney",
-        "--hvac",
-    ];
-    const SUITE_FLAGS: &[&str] = &["--preset", "--seed", "--threads", "--full", "--out"];
-    const SERVE_FLAGS: &[&str] = &[
-        "--port",
-        "--threads",
-        "--cache-mb",
-        "--days",
-        "--step",
-        "--profile",
-        "--store-dir",
-        "--port-file",
-        "--trace-log",
-        "--watch-stdin",
-    ];
-    const ROUTE_FLAGS: &[&str] = &[
-        "--shards",
-        "--port",
-        "--threads",
-        "--cache-mb",
-        "--days",
-        "--step",
-        "--profile",
-        "--store-dir",
-        "--port-file",
-        "--trace-log",
-        "--watch-stdin",
-    ];
-    const EXTRACT_FLAGS: &[&str] = &["--store-dir", "--sites", "--seed", "--days", "--step"];
+    use super::{
+        parse_args, parse_extract_args, parse_route_args, parse_serve_args, parse_suite_args,
+        EXTRACT_FLAGS, HELP, MAIN_FLAGS, SERVE_FLAGS, SUITE_FLAGS,
+    };
+    use pvfloorplan::gis::synth::CorpusPreset;
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(ToString::to_string).collect()
@@ -989,15 +791,17 @@ mod tests {
 
     #[test]
     fn help_documents_every_flag_and_subcommand() {
-        for flag in MAIN_FLAGS
+        // The parsers' own tables: a flag added to a parser without a
+        // line in HELP fails here.
+        for flag in [MAIN_FLAGS, SUITE_FLAGS, SERVE_FLAGS, EXTRACT_FLAGS]
+            .concat()
             .iter()
-            .chain(SUITE_FLAGS)
-            .chain(ROUTE_FLAGS)
-            .chain(SERVE_FLAGS)
-            .chain(EXTRACT_FLAGS)
+            .map(|flag| flag.name)
+            .filter(|name| !["--help", "-h"].contains(name))
         {
             assert!(HELP.contains(flag), "--help is missing {flag}");
         }
+        assert!(HELP.contains("--shards"), "--help is missing --shards");
         assert!(HELP.contains("pvplan suite"));
         assert!(HELP.contains("pvplan serve"));
         assert!(HELP.contains("pvplan route"));
@@ -1040,6 +844,132 @@ mod tests {
             (vec!["--frobnicate"], "unknown suite flag"),
         ] {
             let err = parse_suite_args(&strings(&args)).unwrap_err();
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn suite_parses_the_documented_flags() {
+        // Without --full the suite keeps its smoke options.
+        let parsed = parse_suite_args(&strings(&[
+            "--preset",
+            "paper3",
+            "--seed",
+            "9",
+            "--threads",
+            "4",
+            "--out",
+            "artifact.json",
+        ]))
+        .unwrap();
+        assert_eq!(parsed.preset, CorpusPreset::Paper3);
+        assert_eq!(parsed.seed, 9);
+        assert_eq!(parsed.threads, Some(4));
+        assert!(!parsed.full);
+        assert_eq!(parsed.out.as_deref(), Some("artifact.json"));
+    }
+
+    #[test]
+    fn suite_error_paths_return_messages_not_panics() {
+        for (args, needle) in [
+            (vec!["--threads", "-3"], "--threads expects a positive"),
+            (vec!["--threads"], "--threads needs a value"),
+            (vec!["--seed", "NaN"], "--seed expects an integer"),
+            (vec!["--cache", "x"], "unknown suite flag '--cache'"),
+            (vec!["--smoke"], "unknown suite flag '--smoke'"),
+        ] {
+            let err = parse_suite_args(&strings(&args)).unwrap_err();
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
+        // The unknown-preset message lists every valid preset.
+        let err = parse_suite_args(&strings(&["--preset", "x"])).unwrap_err();
+        for preset in CorpusPreset::all() {
+            assert!(err.contains(preset.name()), "{err}");
+        }
+    }
+
+    #[test]
+    fn suite_defaults_match_the_ci_invocation() {
+        let parsed = parse_suite_args(&[]).unwrap();
+        assert_eq!(parsed.preset, CorpusPreset::Smoke);
+        assert_eq!(parsed.seed, pvfloorplan::gis::synth::CORPUS_SEED);
+        assert_eq!(parsed.threads, None);
+        assert!(!parsed.full, "smoke options unless --full");
+        assert_eq!(parsed.out, None);
+    }
+
+    #[test]
+    fn main_parser_accepts_the_documented_flags() {
+        let parsed = parse_args(&strings(&[
+            "--width",
+            "10",
+            "--depth",
+            "6",
+            "--tilt",
+            "30",
+            "--azimuth",
+            "190",
+            "--series",
+            "2",
+            "--strings",
+            "3",
+            "--days",
+            "10",
+            "--step",
+            "30",
+            "--seed",
+            "9",
+            "--threads",
+            "2",
+            "--portrait",
+            "--chimney",
+            "5,2,1.8",
+            "--hvac",
+            "1,1,1",
+            "--chimney",
+            "7, 3, 2",
+        ]))
+        .unwrap();
+        assert_eq!((parsed.width, parsed.depth), (10.0, 6.0));
+        assert_eq!((parsed.tilt, parsed.azimuth), (30.0, 190.0));
+        assert_eq!((parsed.series, parsed.strings), (2, 3));
+        assert_eq!((parsed.days, parsed.step, parsed.seed), (10, 30, 9));
+        assert_eq!(parsed.threads, Some(2));
+        assert!(parsed.portrait && !parsed.help);
+        assert_eq!(parsed.chimneys, [(5.0, 2.0, 1.8), (7.0, 3.0, 2.0)]);
+        assert_eq!(parsed.hvacs, [(1.0, 1.0, 1.0)]);
+        let defaults = parse_args(&[]).unwrap();
+        assert_eq!((defaults.days, defaults.step, defaults.seed), (365, 60, 42));
+        assert!(parse_args(&strings(&["-h"])).unwrap().help);
+    }
+
+    #[test]
+    fn main_parser_rejects_bad_flags_with_messages_not_panics() {
+        for (args, needle) in [
+            (
+                vec!["--width", "NaN"],
+                "--width and --depth must be positive",
+            ),
+            (
+                vec!["--width", "inf"],
+                "--width and --depth must be positive",
+            ),
+            (
+                vec!["--depth", "-2"],
+                "--width and --depth must be positive",
+            ),
+            (vec!["--width", "wide"], "--width expects a number"),
+            (vec!["--days", "0"], "--days must be in 1..=365"),
+            (vec!["--days", "366"], "--days must be in 1..=365"),
+            (vec!["--step", "7"], "--step must divide"),
+            (vec!["--chimney", "1,2"], "--chimney expects X,Y,H"),
+            (vec!["--hvac", "1,2,x"], "1,2,x"),
+            (vec!["--threads", "0"], "--threads expects a positive"),
+            (vec!["--series"], "--series needs a value"),
+            (vec!["--portrait", "yes"], "unknown flag 'yes'"),
+            (vec!["--widht", "10"], "unknown flag '--widht' (try --help)"),
+        ] {
+            let err = parse_args(&strings(&args)).unwrap_err();
             assert!(err.contains(needle), "{args:?}: {err}");
         }
     }
@@ -1137,15 +1067,16 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(parsed.shards, 3);
-        assert_eq!(parsed.port, 0);
-        assert_eq!(parsed.threads, Some(1));
-        assert_eq!(parsed.cache_mb, Some(32));
-        assert_eq!((parsed.days, parsed.step), (Some(2), Some(120)));
-        assert_eq!(parsed.profile, "tiny");
-        assert_eq!(parsed.store_dir, "target/router");
-        assert_eq!(parsed.port_file.as_deref(), Some("target/router.port"));
-        assert_eq!(parsed.trace_log.as_deref(), Some("target/router.trace"));
-        assert!(parsed.watch_stdin);
+        let serve = parsed.serve;
+        assert_eq!(serve.port, 0);
+        assert_eq!(serve.threads, Some(1));
+        assert_eq!(serve.cache_mb, Some(32));
+        assert_eq!((serve.days, serve.step), (Some(2), Some(120)));
+        assert_eq!(serve.profile, "tiny");
+        assert_eq!(serve.store_dir.as_deref(), Some("target/router"));
+        assert_eq!(serve.port_file.as_deref(), Some("target/router.port"));
+        assert_eq!(serve.trace_log.as_deref(), Some("target/router.trace"));
+        assert!(serve.watch_stdin);
     }
 
     #[test]
@@ -1168,7 +1099,7 @@ mod tests {
             assert!(err.contains(needle), "{args:?}: {err}");
         }
         // --help works without --shards (the help text prints instead).
-        assert!(parse_route_args(&strings(&["--help"])).unwrap().help);
+        assert!(parse_route_args(&strings(&["--help"])).unwrap().serve.help);
     }
 
     #[test]

@@ -334,16 +334,17 @@ fn responses_are_bit_identical_across_thread_counts_and_arrival_orders() {
     assert_eq!(explicit.get("strings").unwrap().as_number(), Some(1.0));
 }
 
-/// A real `pvplan route` process under test: the router binary plus its
-/// supervised shard workers. Dropping it closes the router's stdin
-/// (`--watch-stdin`), which drains the listener and tears the whole
-/// worker fleet down via the held-stdin pipes; a kill is the fallback.
-struct RouterProc {
+/// A real `pvplan` server process under test — a `route` fleet (the
+/// router binary plus its supervised shard workers) or a single `serve`.
+/// Dropping it closes the process's stdin (`--watch-stdin`), which drains
+/// the listener and, for a router, tears the whole worker fleet down via
+/// the held-stdin pipes; a kill is the fallback.
+struct PvplanProc {
     child: Child,
     addr: SocketAddr,
 }
 
-impl RouterProc {
+impl PvplanProc {
     /// Spawns `pvplan route --shards N` rooted at `store_root` (with a
     /// `--trace-log` when given) and waits until the router has bound,
     /// health-checked every worker, and written its port file.
@@ -352,37 +353,55 @@ impl RouterProc {
         store_root: &std::path::Path,
         trace_log: Option<&std::path::Path>,
     ) -> Self {
-        std::fs::create_dir_all(store_root).expect("create store root");
-        let port_file = store_root.join("router.port");
-        let _ = std::fs::remove_file(&port_file);
         let mut args = vec![
             "route".to_string(),
             "--shards".to_string(),
             shards.to_string(),
-            "--profile".to_string(),
-            "tiny".to_string(),
-            "--threads".to_string(),
-            "1".to_string(),
-            "--port".to_string(),
-            "0".to_string(),
-            "--port-file".to_string(),
-            port_file.display().to_string(),
             "--store-dir".to_string(),
             store_root.display().to_string(),
-            "--watch-stdin".to_string(),
         ];
         if let Some(path) = trace_log {
             args.push("--trace-log".to_string());
             args.push(path.display().to_string());
         }
+        Self::spawn(args, store_root)
+    }
+
+    /// Spawns `pvplan serve` (no store) with its port file under `dir`.
+    fn serve(dir: &std::path::Path) -> Self {
+        Self::spawn(vec!["serve".to_string()], dir)
+    }
+
+    /// Spawns `pvplan <args>` at the tiny profile on one thread, on an
+    /// ephemeral port published through a port file under `dir`, and
+    /// waits for that file.
+    fn spawn(mut args: Vec<String>, dir: &std::path::Path) -> Self {
+        std::fs::create_dir_all(dir).expect("create process dir");
+        let port_file = dir.join("pvplan.port");
+        let _ = std::fs::remove_file(&port_file);
+        args.extend(
+            [
+                "--profile",
+                "tiny",
+                "--threads",
+                "1",
+                "--port",
+                "0",
+                "--port-file",
+                &port_file.display().to_string(),
+                "--watch-stdin",
+            ]
+            .map(String::from),
+        );
         let child = Command::new(env!("CARGO_BIN_EXE_pvplan"))
             .args(&args)
             .stdin(Stdio::piped())
             .stdout(Stdio::null())
             .spawn()
-            .expect("spawn pvplan route");
-        // The port file appears only after every worker passed its
-        // health check, so its presence means the fleet is serving.
+            .expect("spawn pvplan");
+        // The port file appears only after the listener bound (and, for a
+        // router, every worker passed its health check), so its presence
+        // means the process is serving.
         let deadline = Instant::now() + Duration::from_secs(120);
         let addr = loop {
             if let Ok(text) = std::fs::read_to_string(&port_file) {
@@ -392,7 +411,7 @@ impl RouterProc {
             }
             assert!(
                 Instant::now() < deadline,
-                "router did not write its port file in time"
+                "pvplan did not write its port file in time"
             );
             std::thread::sleep(Duration::from_millis(50));
         };
@@ -400,7 +419,7 @@ impl RouterProc {
     }
 }
 
-impl Drop for RouterProc {
+impl Drop for PvplanProc {
     fn drop(&mut self) {
         drop(self.child.stdin.take()); // EOF: graceful drain + fleet teardown
         let deadline = Instant::now() + Duration::from_secs(15);
@@ -474,7 +493,7 @@ fn router_shard_count_is_invisible_in_response_bytes() {
             shards
         ));
         let _ = std::fs::remove_dir_all(&root);
-        let router = RouterProc::start(shards, &root, None);
+        let router = PvplanProc::start(shards, &root, None);
 
         // Rotated concurrent clients through the proxy: every arrival
         // order, every placement, every cache state — reference bytes.
@@ -621,7 +640,7 @@ fn observability_leaves_place_bytes_untouched_at_any_worker_or_shard_count() {
     for shards in [1usize, 3] {
         let root = dir.join(format!("route-{shards}"));
         let trace = root.join("router.trace");
-        let router = RouterProc::start(shards, &root, Some(&trace));
+        let router = PvplanProc::start(shards, &root, Some(&trace));
 
         let by_request = fire_with_scrapes(router.addr, &bodies, 3);
         for (idx, responses) in by_request {
@@ -683,7 +702,7 @@ fn router_survives_kill_dash_nine_of_a_worker_and_rehydrates_it() {
     // Tracing stays on through the whole kill/respawn cycle: the bytes
     // below must be observability-blind even across a worker funeral.
     let trace = root.join("router.trace");
-    let router = RouterProc::start(2, &root, Some(&trace));
+    let router = PvplanProc::start(2, &root, Some(&trace));
 
     // Pre-kill baseline, and the shard map this test relies on: with two
     // shards the mix splits (specs 0/1 on one shard, spec 2 on the
@@ -768,6 +787,38 @@ fn router_survives_kill_dash_nine_of_a_worker_and_rehydrates_it() {
                 path.display()
             );
         }
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn deeply_nested_place_body_gets_a_400_and_serve_and_route_stay_up() {
+    // 10,000 nested brackets: a 20 KB body, well under the body limit,
+    // that used to overflow a worker's stack and abort the process.
+    let body = format!(
+        r#"{{"spec": {}{}}}"#,
+        "[".repeat(10_000),
+        "]".repeat(10_000)
+    );
+    let root = std::env::temp_dir().join(format!("pvnest-e2e-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    for (name, process) in [
+        ("serve", PvplanProc::serve(&root.join("serve"))),
+        ("route", PvplanProc::start(2, &root.join("route"), None)),
+    ] {
+        for _ in 0..2 {
+            let (status, response) =
+                send_request(process.addr, "POST", "/v1/place", body.as_bytes())
+                    .unwrap_or_else(|e| panic!("{name}: connection dropped: {e}"));
+            assert_eq!(status, 400, "{name}: {response}");
+            assert!(response.contains("nesting"), "{name}: {response}");
+        }
+        let (status, health) =
+            send_request(process.addr, "GET", "/v1/healthz", b"").expect("healthz transport");
+        assert_eq!(
+            status, 200,
+            "{name} is down after the nested body: {health}"
+        );
     }
     let _ = std::fs::remove_dir_all(&root);
 }
