@@ -1,8 +1,7 @@
 //! CI guard for the machine-readable bench artifacts.
 //!
 //! Validates that a bench artifact — `BENCH_evaluator.json` (written by
-//! the `evaluator_throughput` bench and `diag --timings`),
-//! `BENCH_portfolio.json` (written by `pvplan suite`) or
+//! `diag --timings`), `BENCH_portfolio.json` (written by `pvplan suite`) or
 //! `BENCH_server.json` (written by the `loadgen` bin) — exists and
 //! matches the schema the perf-trajectory tooling expects: a non-empty
 //! JSON array of objects, each carrying the shared string core
@@ -418,8 +417,8 @@ fn check_file(path: &std::path::Path) -> Result<(), ()> {
         Ok(doc) => doc,
         Err(e) => {
             eprintln!(
-                "Error: cannot read {} ({e}); run the evaluator_throughput \
-                 bench, diag --timings, or pvplan suite first",
+                "Error: cannot read {} ({e}); run diag --timings, \
+                 pvplan suite or loadgen first",
                 path.display()
             );
             return Err(());

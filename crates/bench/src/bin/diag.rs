@@ -1,4 +1,4 @@
-//! Pipeline diagnostics dump, plus the Sec. V-D before/after timing probe
+//! Pipeline diagnostics dump, plus the Sec. V-D timing harness
 //! (`--timings`) whose numbers are recorded in EXPERIMENTS.md.
 //!
 //! Usage: `cargo run -p pv_bench --bin diag --release -- [--paper|--fast|--smoke] [--threads N] [--timings]`
@@ -6,23 +6,38 @@
 //! `--fast`/`--smoke` select the diagnostics resolution (default: fast,
 //! one year at hourly steps); the `--timings` probe is always pinned to
 //! the 30-day smoke configuration so its numbers stay comparable across
-//! runs (the EXPERIMENTS.md row is keyed to that scale). `--timings` also
-//! prints a per-kernel breakdown of the lane-shaped hot loops (irradiance
-//! census, fused transposition + operating-point pass, string
-//! aggregation — each against its scalar reference shape) and rewrites
-//! the machine-readable `BENCH_evaluator.json` at the repo root with the
-//! proposal-loop and `kernel_*` numbers (same schema as the
-//! `evaluator_throughput` bench).
+//! runs (the EXPERIMENTS.md rows are keyed to that scale). `--timings`
+//! prints, each as a warm mean over five runs:
+//!
+//! - extraction (sequential vs `--threads N`) and the horizon-map share
+//!   of it, on Roof 2;
+//! - the energy evaluator: scalar reference vs batched kernel,
+//!   sequential vs parallel, N = 32;
+//! - the anneal-style proposal loop, cold vs incremental re-scoring;
+//! - a per-kernel breakdown of the lane-shaped hot loops (irradiance
+//!   census, fused transposition + operating-point pass, string
+//!   aggregation — each against its scalar reference shape);
+//! - E7, the paper's runtime-scaling claim: suitability time against
+//!   valid grid cells and greedy placement time against module count.
+//!
+//! It then rewrites the machine-readable `BENCH_evaluator.json` at the
+//! repo root with the proposal-loop and `kernel_*` rows.
 
 use pv_bench::{
     extract_scenario_with, kernel_probe_timings, parse_harness_args, proposal_loop_timings,
     scalar_reference_energy, write_bench_records, HarnessArgs, Resolution,
 };
 use pv_floorplan::*;
-use pv_gis::{PaperRoof, RoofScenario, Site, SolarExtractor};
+use pv_gis::{HorizonMap, PaperRoof, RoofBuilder, RoofScenario, Site, SolarExtractor};
 use pv_model::Topology;
 use pv_obs::{Histogram, Timer};
 use pv_runtime::Runtime;
+use pv_units::Meters;
+
+/// Azimuth sectors of the extractor's horizon map (the
+/// `SolarExtractor` default), so the horizon row is its share of
+/// extraction.
+const HORIZON_SECTORS: usize = 64;
 
 fn main() {
     let cli: Vec<String> = std::env::args().skip(1).collect();
@@ -92,7 +107,8 @@ fn run(args: &HarnessArgs) -> Result<(), String> {
 
 /// Times the solar extractor and the energy evaluator before/after the
 /// `pv_runtime` refactor: scalar reference vs batched kernel, sequential
-/// vs parallel. Roof 2, 30 days at hourly steps, N = 32.
+/// vs parallel. Roof 2, 30 days at hourly steps, N = 32. Then times the
+/// E7 placement-scaling sweeps on flat 10 m deep roofs at the same clock.
 fn timings(runtime: Runtime) -> Result<(), String> {
     let scenario = RoofScenario::build(PaperRoof::Roof2);
     let clock = Resolution::Smoke.clock();
@@ -127,6 +143,9 @@ fn timings(runtime: Runtime) -> Result<(), String> {
     let t_extract_par = time(&mut || {
         std::hint::black_box(par_extractor.extract(&scenario.dsm));
     });
+    let t_horizon = time(&mut || {
+        std::hint::black_box(HorizonMap::compute(&scenario.dsm, HORIZON_SECTORS));
+    });
 
     let dataset = par_extractor.extract(&scenario.dsm);
     let map = SuitabilityMap::compute(&dataset, &config);
@@ -148,6 +167,9 @@ fn timings(runtime: Runtime) -> Result<(), String> {
         "extractor  {} thread(s)       {t_extract_par:9.1} ms  ({:.2}x)",
         runtime.threads(),
         t_extract_seq / t_extract_par
+    );
+    println!(
+        "  of which horizon map       {t_horizon:9.1} ms  ({HORIZON_SECTORS} sectors, sequential)"
     );
     println!("evaluator  scalar reference  {t_scalar:9.1} ms  (pre-refactor baseline)");
     println!(
@@ -193,6 +215,38 @@ fn timings(runtime: Runtime) -> Result<(), String> {
             k.lane_ns_per_eval / 1e6,
             k.scalar_ns_per_eval / 1e6,
             k.speedup()
+        );
+    }
+
+    // E7 — the paper's runtime claim: placement time is proportional to
+    // the valid grid cells and to the number of panels. Suitability is
+    // swept over roof width at N = 16, greedy over N on the widest roof.
+    println!("E7 placement scaling (flat roofs 10 m deep, same clock):");
+    let roofs = [10.0, 20.0, 40.0].map(|width_m| {
+        let dsm = RoofBuilder::new(Meters::new(width_m), Meters::new(10.0)).build();
+        par_extractor.extract(&dsm)
+    });
+    let config16 = FloorplanConfig::paper(Topology::new(8, 2).unwrap()).unwrap();
+    for data in &roofs {
+        let cells = data.valid().count();
+        let t = time(&mut || {
+            std::hint::black_box(SuitabilityMap::compute(data, &config16));
+        });
+        println!(
+            "  suitability  {cells:6} cells  {t:9.1} ms  ({:.2} us/cell)",
+            t * 1e3 / cells as f64
+        );
+    }
+    let widest = &roofs[2];
+    for n in [8, 16, 32] {
+        let config = FloorplanConfig::paper(Topology::new(8, n / 8).unwrap()).unwrap();
+        let map = SuitabilityMap::compute(widest, &config);
+        let t = time(&mut || {
+            std::hint::black_box(greedy_placement_with_map(widest, &config, &map).unwrap());
+        });
+        println!(
+            "  greedy       N = {n:2}        {t:9.1} ms  ({:.2} ms/module)",
+            t / n as f64
         );
     }
 

@@ -214,9 +214,9 @@ pub fn compare_row_with(
 /// per-cell irradiance composition inside a steps × modules × cells triple
 /// loop, exactly as `EnergyEvaluator` did before the batched kernel.
 ///
-/// Kept as the "before" baseline the `evaluator_throughput` bench and
-/// `diag --timings` pin the batched kernel's speedup against (EXPERIMENTS
-/// Sec. V-D). Agrees with the evaluator up to floating-point association.
+/// Kept as the "before" baseline `diag --timings` pins the batched
+/// kernel's speedup against (EXPERIMENTS Sec. V-D). Agrees with the
+/// evaluator up to floating-point association.
 ///
 /// # Panics
 ///
@@ -379,8 +379,7 @@ impl ProposalTimings {
     }
 
     /// The two `BENCH_evaluator.json` records of this measurement — the
-    /// single source of the artifact rows written by the
-    /// `evaluator_throughput` bench and `diag --timings`.
+    /// single source of the artifact rows `diag --timings` writes.
     #[must_use]
     pub fn to_records(&self, scale: &str) -> [BenchRecord; 2] {
         [
@@ -642,7 +641,7 @@ pub fn kernel_probe_timings(
 /// Panics when the plan does not match the config's topology or no
 /// feasible relocation anchor exists (cannot happen on the paper roofs).
 #[must_use]
-pub fn relocation_probe(
+fn relocation_probe(
     dataset: &SolarDataset,
     config: &FloorplanConfig,
     map: &SuitabilityMap,
@@ -679,7 +678,7 @@ pub fn relocation_probe(
 ///
 /// Both loops perform one successful relocation plus one full
 /// `EnergyReport` per iteration, cycling module 0 through up to 32
-/// feasible anchors ([`relocation_probe`], so every move succeeds). The
+/// feasible anchors (`relocation_probe`, so every move succeeds). The
 /// cold loop re-scores with [`EvaluationContext::evaluate_cold`]
 /// (kernel + operating points for all N modules, as before the caching
 /// refactor); the incremental loop uses `try_move` + the cached
@@ -808,15 +807,12 @@ mod tests {
                 speedup_vs_cold: 6.25,
             },
         ];
-        let doc = render_bench_records("evaluator_throughput", &records);
+        let doc = render_bench_records("diag --timings", &records);
         let parsed = json::parse(&doc).unwrap();
         let items = parsed.as_array().unwrap();
         assert_eq!(items.len(), 2);
         for (item, record) in items.iter().zip(&records) {
-            assert_eq!(
-                item.get("bench").unwrap().as_str(),
-                Some("evaluator_throughput")
-            );
+            assert_eq!(item.get("bench").unwrap().as_str(), Some("diag --timings"));
             assert_eq!(
                 item.get("name").unwrap().as_str(),
                 Some(record.name.as_str())
@@ -865,6 +861,37 @@ mod tests {
         assert_eq!(records.len(), 3);
         let doc = render_bench_records("unit", &records);
         assert!(json::parse(&doc).is_ok());
+    }
+
+    #[test]
+    fn evaluator_probes_write_the_rows_the_schema_check_expects() {
+        let scenario = RoofScenario::build(PaperRoof::Roof1);
+        let dataset = extract_scenario(&scenario, Resolution::Smoke);
+        let config = FloorplanConfig::paper(Topology::new(8, 2).unwrap()).unwrap();
+        let map = SuitabilityMap::compute(&dataset, &config);
+        let plan = greedy_placement_with_map(&dataset, &config, &map).unwrap();
+        let proposals = proposal_loop_timings(&dataset, &config, &map, &plan, 1);
+        let kernels = kernel_probe_timings(&dataset, &config, &plan, 1);
+        let mut records = proposals.to_records("smoke").to_vec();
+        records.extend(kernels.to_records("smoke"));
+        let names: Vec<&str> = records.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "proposal_cold",
+                "proposal_incremental",
+                "kernel_irradiance_census",
+                "kernel_fused_iv",
+                "kernel_string_agg",
+            ]
+        );
+        for r in &records {
+            assert!(r.ns_per_eval.is_finite() && r.ns_per_eval > 0.0, "{r:?}");
+            assert!(
+                r.speedup_vs_cold.is_finite() && r.speedup_vs_cold > 0.0,
+                "{r:?}"
+            );
+        }
     }
 
     #[test]

@@ -86,24 +86,6 @@ impl Polygon {
         inside
     }
 
-    /// Axis-aligned bounding box `(min_x, min_y, max_x, max_y)` in metres.
-    #[must_use]
-    pub fn bounding_box(&self) -> (f64, f64, f64, f64) {
-        let mut bb = (
-            f64::INFINITY,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NEG_INFINITY,
-        );
-        for &(x, y) in &self.vertices {
-            bb.0 = bb.0.min(x);
-            bb.1 = bb.1.min(y);
-            bb.2 = bb.2.max(x);
-            bb.3 = bb.3.max(y);
-        }
-        bb
-    }
-
     /// Signed area (shoelace formula), in m²; positive for counter-clockwise
     /// vertex order.
     #[must_use]

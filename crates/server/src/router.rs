@@ -285,12 +285,6 @@ impl Router {
         self
     }
 
-    /// OS process id of shard `index`'s current worker, if alive.
-    #[must_use]
-    pub fn shard_pid(&self, index: usize) -> Option<u32> {
-        self.supervisor.child_pid(index)
-    }
-
     /// Total worker respawns since start.
     #[must_use]
     pub fn shard_restarts(&self) -> u64 {

@@ -46,13 +46,6 @@ impl Watts {
     pub fn as_watts(self) -> f64 {
         self.value()
     }
-
-    /// Power in kilowatts.
-    #[inline]
-    #[must_use]
-    pub fn as_kw(self) -> f64 {
-        self.value() / 1e3
-    }
 }
 
 impl WattHours {

@@ -28,13 +28,6 @@ impl Minutes {
     pub fn as_hours(self) -> f64 {
         self.value() / 60.0
     }
-
-    /// Duration in minutes as `f64`.
-    #[inline]
-    #[must_use]
-    pub const fn as_minutes(self) -> f64 {
-        self.value()
-    }
 }
 
 /// One instant on the simulation time axis: a step index plus its
