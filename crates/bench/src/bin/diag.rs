@@ -143,8 +143,15 @@ fn timings(runtime: Runtime) -> Result<(), String> {
     let t_extract_par = time(&mut || {
         std::hint::black_box(par_extractor.extract(&scenario.dsm));
     });
-    let t_horizon = time(&mut || {
-        std::hint::black_box(HorizonMap::compute(&scenario.dsm, HORIZON_SECTORS));
+    let t_horizon_seq = time(&mut || {
+        std::hint::black_box(HorizonMap::compute(
+            &scenario.dsm,
+            HORIZON_SECTORS,
+            Runtime::sequential(),
+        ));
+    });
+    let t_horizon_par = time(&mut || {
+        std::hint::black_box(HorizonMap::compute(&scenario.dsm, HORIZON_SECTORS, runtime));
     });
 
     let dataset = par_extractor.extract(&scenario.dsm);
@@ -164,12 +171,17 @@ fn timings(runtime: Runtime) -> Result<(), String> {
 
     println!("extractor  sequential        {t_extract_seq:9.1} ms");
     println!(
+        "  of which horizon map       {t_horizon_seq:9.1} ms  ({HORIZON_SECTORS} sectors, sequential)"
+    );
+    println!(
         "extractor  {} thread(s)       {t_extract_par:9.1} ms  ({:.2}x)",
         runtime.threads(),
         t_extract_seq / t_extract_par
     );
     println!(
-        "  of which horizon map       {t_horizon:9.1} ms  ({HORIZON_SECTORS} sectors, sequential)"
+        "  of which horizon map       {t_horizon_par:9.1} ms  ({HORIZON_SECTORS} sectors, {} thread(s), {:.2}x)",
+        runtime.threads(),
+        t_horizon_seq / t_horizon_par
     );
     println!("evaluator  scalar reference  {t_scalar:9.1} ms  (pre-refactor baseline)");
     println!(

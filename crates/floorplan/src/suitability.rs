@@ -63,15 +63,15 @@ impl SuitabilityMap {
         let percentile = config.percentile();
         let total_samples = dataset.num_steps() as usize;
 
-        let sun_up_steps: Vec<u32> = (0..dataset.num_steps())
+        let num_sun_up = (0..dataset.num_steps())
             .filter(|&i| dataset.conditions(i).sun_up)
-            .collect();
+            .count();
         // Night samples are exact zeros; rather than materializing them we
         // shift the percentile rank (a zero never outranks any daylight
         // sample).
-        let num_dark = total_samples - sun_up_steps.len();
+        let num_dark = total_samples - num_sun_up;
 
-        let mut g_buf: Vec<f64> = Vec::with_capacity(sun_up_steps.len());
+        let mut g_buf: Vec<f64> = Vec::with_capacity(num_sun_up);
         let mut t_buf: Vec<f64> = Vec::with_capacity(total_samples);
         // Ambient temperature is cell-independent; take its percentile once
         // (over all steps, matching the G convention).
@@ -94,11 +94,10 @@ impl SuitabilityMap {
 
         let mut g_percentile = Grid::filled(dims, f64::NAN);
         let mut scores = Grid::filled(dims, f64::NAN);
+        // Row-major order: consecutive cells share a shadow-table column.
+        let mut traces = dataset.daylight_traces();
         for cell in valid.iter_set() {
-            g_buf.clear();
-            for &i in &sun_up_steps {
-                g_buf.push(dataset.irradiance(cell, i).as_w_per_m2());
-            }
+            traces.fill(cell, &mut g_buf);
             let g_pct = percentile_with_implicit_zeros(&mut g_buf, num_dark, percentile);
             g_percentile[cell] = g_pct;
             scores[cell] = g_pct * f_of_t(g_pct);
@@ -248,10 +247,101 @@ mod tests {
     use super::*;
     use pv_gis::{Obstacle, RoofBuilder, Site, SolarExtractor};
     use pv_model::Topology;
-    use pv_units::{Meters, SimulationClock};
+    use pv_units::{Degrees, Meters, SimulationClock};
 
     fn config() -> FloorplanConfig {
         FloorplanConfig::paper(Topology::new(2, 1).unwrap()).unwrap()
+    }
+
+    /// The reference: `compute` as a per-cell loop of `irradiance` point
+    /// queries over the sun-up steps, then the percentile and `f(T)`.
+    /// Returns `(scores, irradiance percentiles)`.
+    fn reference_compute(
+        dataset: &SolarDataset,
+        config: &FloorplanConfig,
+    ) -> (Grid<f64>, Grid<f64>) {
+        let percentile = config.percentile();
+        let sun_up_steps: Vec<u32> = (0..dataset.num_steps())
+            .filter(|&i| dataset.conditions(i).sun_up)
+            .collect();
+        let num_dark = dataset.num_steps() as usize - sun_up_steps.len();
+        let mut t_buf: Vec<f64> = (0..dataset.num_steps())
+            .map(|i| dataset.conditions(i).ambient.as_celsius())
+            .collect();
+        let t_pct = percentile_of(&mut t_buf, percentile);
+        let gamma = config.module().power_temperature_slope();
+        let k = config.module().thermal_coefficient();
+        let f_of_t = |g_pct: f64| -> f64 {
+            if !config.temperature_correction() {
+                return 1.0;
+            }
+            let tact = t_pct + k * g_pct;
+            ((1.12 - gamma * tact) / (1.12 - gamma * Celsius::STC.as_celsius())).max(0.0)
+        };
+        let mut scores = Grid::filled(dataset.dims(), f64::NAN);
+        let mut g_percentile = Grid::filled(dataset.dims(), f64::NAN);
+        let mut g_buf = Vec::new();
+        for cell in dataset.valid().iter_set() {
+            g_buf.clear();
+            for &i in &sun_up_steps {
+                g_buf.push(dataset.irradiance(cell, i).as_w_per_m2());
+            }
+            let g_pct = percentile_with_implicit_zeros(&mut g_buf, num_dark, percentile);
+            g_percentile[cell] = g_pct;
+            scores[cell] = g_pct * f_of_t(g_pct);
+        }
+        (scores, g_percentile)
+    }
+
+    fn assert_matches_reference(dataset: &SolarDataset, config: &FloorplanConfig) {
+        let map = SuitabilityMap::compute(dataset, config);
+        let (scores, g_percentile) = reference_compute(dataset, config);
+        let bits = |g: &Grid<f64>| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(map.scores()), bits(&scores), "scores");
+        assert_eq!(
+            bits(map.irradiance_percentile()),
+            bits(&g_percentile),
+            "percentiles"
+        );
+    }
+
+    #[test]
+    fn scores_match_the_per_cell_irradiance_reference() {
+        let chimney = Obstacle::chimney(
+            Meters::new(4.0),
+            Meters::new(1.6),
+            Meters::new(0.8),
+            Meters::new(0.8),
+            Meters::new(2.0),
+        );
+        let planar = RoofBuilder::new(Meters::new(8.0), Meters::new(4.0))
+            .obstacle(chimney.clone())
+            .build();
+        let undulating = RoofBuilder::new(Meters::new(8.0), Meters::new(4.0))
+            .undulation(Degrees::new(6.0), Meters::new(3.0), 5)
+            .obstacle(chimney)
+            .build();
+        let clock = SimulationClock::days_at_minutes(3, 30);
+        for roof in [planar, undulating] {
+            let data = SolarExtractor::new(Site::turin(), clock)
+                .seed(6)
+                .extract(&roof);
+            assert_matches_reference(&data, &config());
+            assert_matches_reference(&data, &config().with_temperature_correction(false));
+        }
+    }
+
+    #[test]
+    fn scores_match_the_reference_without_any_sun_up_step() {
+        // Polar night: at 80 degN the sun stays down through early January.
+        let polar = Site::new(Degrees::new(80.0), 0.2, [3.0; 12]);
+        let roof = RoofBuilder::new(Meters::new(4.0), Meters::new(2.0)).build();
+        let data =
+            SolarExtractor::new(polar, SimulationClock::days_at_minutes(2, 60)).extract(&roof);
+        assert!((0..data.num_steps()).all(|i| !data.conditions(i).sun_up));
+        assert_matches_reference(&data, &config());
+        let map = SuitabilityMap::compute(&data, &config());
+        assert_eq!(map.irradiance_percentile()[CellCoord::new(3, 3)], 0.0);
     }
 
     #[test]

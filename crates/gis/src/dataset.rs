@@ -35,8 +35,8 @@ pub struct StepConditions {
 ///
 /// Constructed by [`SolarExtractor`](crate::SolarExtractor); queried by the
 /// floorplanner via [`irradiance`](Self::irradiance) /
-/// [`temperature`](Self::temperature) or the streaming
-/// [`cell_view`](Self::cell_view).
+/// [`temperature`](Self::temperature) or, cell by cell, whole daylight
+/// traces through [`daylight_traces`](Self::daylight_traces).
 ///
 /// ```
 /// use pv_geom::CellCoord;
@@ -49,15 +49,18 @@ pub struct StepConditions {
 /// assert_eq!(data.num_steps(), 24);
 /// assert_eq!(data.valid().count(), 20 * 10);
 ///
-/// // Point queries and the streaming per-cell view agree.
+/// // Point queries and the per-cell daylight trace agree.
 /// let cell = CellCoord::new(3, 3);
-/// let lit = (0..data.num_steps())
-///     .find(|&i| data.conditions(i).sun_up)
-///     .expect("the sun rises within two days");
-/// let (g, t) = data.cell_view(cell).nth(lit as usize).unwrap();
-/// assert_eq!(g, data.irradiance(cell, lit));
-/// assert_eq!(t, data.temperature(cell, lit));
-/// assert!(g.as_w_per_m2() > 0.0);
+/// let sun_up: Vec<u32> = (0..data.num_steps())
+///     .filter(|&i| data.conditions(i).sun_up)
+///     .collect();
+/// let mut trace = Vec::new();
+/// data.daylight_traces().fill(cell, &mut trace);
+/// assert_eq!(trace.len(), sun_up.len());
+/// for (&g, &i) in trace.iter().zip(&sun_up) {
+///     assert_eq!(g, data.irradiance(cell, i).as_w_per_m2());
+/// }
+/// assert!(trace.iter().any(|&g| g > 0.0));
 /// ```
 #[derive(Clone, Debug)]
 pub struct SolarDataset {
@@ -415,18 +418,35 @@ impl SolarDataset {
         self.steps[i as usize].ambient
     }
 
-    /// Streaming view over one cell's `(G, T)` trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` is outside the grid.
+    /// Starts a sweep of per-cell daylight traces: `cell`'s irradiance at
+    /// every sun-up step, the samples of the paper's `G[i,j,t]` that are
+    /// not night zeros. See [`DaylightTraces`].
     #[must_use]
-    pub fn cell_view(&self, cell: CellCoord) -> CellWeatherView<'_> {
-        assert!(self.dims.contains(cell), "cell outside grid");
-        CellWeatherView {
+    pub fn daylight_traces(&self) -> DaylightTraces<'_> {
+        let n = self.base_normal;
+        let steps = self
+            .steps
+            .iter()
+            .zip(&self.beam_row_of_step)
+            .filter(|(cond, _)| cond.sun_up)
+            .map(|(cond, &row)| {
+                let s = cond.sun_direction;
+                let cos_i = (s[0] * n[0] + s[1] * n[1] + s[2] * n[2]).max(0.0);
+                DaylightStep {
+                    row,
+                    beam_normal: cond.beam_normal.as_w_per_m2(),
+                    sun_direction: s,
+                    planar_beam: cond.beam_normal.as_w_per_m2() * cos_i,
+                    diffuse_poa: cond.diffuse_poa.as_w_per_m2(),
+                    ground_poa: cond.ground_poa.as_w_per_m2(),
+                }
+            })
+            .collect::<Vec<_>>();
+        DaylightTraces {
             dataset: self,
-            cell,
-            next: 0,
+            column: Vec::with_capacity(steps.len()),
+            steps,
+            column_word: usize::MAX,
         }
     }
 
@@ -472,38 +492,89 @@ impl SolarDataset {
     }
 }
 
-/// Iterator over one cell's per-step `(irradiance, temperature)` samples.
+/// The cell-independent terms of one sun-up step.
+#[derive(Clone, Copy, Debug)]
+struct DaylightStep {
+    /// Row of the step in the shadow table, `u32::MAX` without beam.
+    row: u32,
+    beam_normal: f64,
+    sun_direction: [f64; 3],
+    /// `beam_normal · max(0, s·n)` for the base roof normal `n`.
+    planar_beam: f64,
+    diffuse_poa: f64,
+    ground_poa: f64,
+}
+
+/// A sweep of per-cell daylight traces over one [`SolarDataset`], made
+/// by [`SolarDataset::daylight_traces`].
 ///
-/// Produced by [`SolarDataset::cell_view`].
+/// [`fill`](Self::fill) writes one cell's irradiance in W/m² at every
+/// sun-up step, in step order; each sample equals
+/// `irradiance(cell, i).as_w_per_m2()` bit for bit. The per-step terms
+/// (shadow row, beam on the base plane, diffuse, ground) are hoisted once
+/// per sweep. The shadow table is step-major, so the 64 cells sharing a
+/// shadow word share one column of it: the sweep gathers that column
+/// once and reuses it while consecutive calls stay in the same word.
+/// Visiting cells in linear (row-major) order therefore reads the table
+/// once per 64 cells instead of once per cell.
 #[derive(Clone, Debug)]
-pub struct CellWeatherView<'a> {
-    dataset: &'a SolarDataset,
-    cell: CellCoord,
-    next: u32,
+pub struct DaylightTraces<'d> {
+    dataset: &'d SolarDataset,
+    steps: Vec<DaylightStep>,
+    /// Shadow word `column_word` of every sun-up step (0 without beam).
+    column: Vec<u64>,
+    column_word: usize,
 }
 
-impl Iterator for CellWeatherView<'_> {
-    type Item = (Irradiance, Celsius);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.next >= self.dataset.num_steps() {
-            return None;
+impl DaylightTraces<'_> {
+    /// Replaces `trace` with `cell`'s daylight trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is outside the grid.
+    pub fn fill(&mut self, cell: CellCoord, trace: &mut Vec<f64>) {
+        let d = self.dataset;
+        let index = d.dims.linear_index(cell);
+        let word = index / 64;
+        if word != self.column_word {
+            self.column_word = word;
+            self.column.clear();
+            self.column.extend(self.steps.iter().map(|step| {
+                if step.row == u32::MAX {
+                    0
+                } else {
+                    d.shadow_rows[step.row as usize * d.row_words + word]
+                }
+            }));
         }
-        let i = self.next;
-        self.next += 1;
-        Some((
-            self.dataset.irradiance(self.cell, i),
-            self.dataset.temperature(self.cell, i),
-        ))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = (self.dataset.num_steps() - self.next) as usize;
-        (rem, Some(rem))
+        let mask = 1u64 << (index % 64);
+        let svf = f64::from(d.svf[index]);
+        let lit = self.steps.iter().zip(&self.column);
+        trace.clear();
+        match &d.cell_normals {
+            None => trace.extend(lit.map(|(step, &shadow)| {
+                let beam = if shadow & mask != 0 {
+                    0.0
+                } else {
+                    step.planar_beam
+                };
+                (beam + step.diffuse_poa * svf) + step.ground_poa
+            })),
+            Some(_) => {
+                let n = d.cell_normal_linear(index);
+                trace.extend(lit.map(|(step, &shadow)| {
+                    let beam = if shadow & mask != 0 {
+                        0.0
+                    } else {
+                        let s = step.sun_direction;
+                        step.beam_normal * (s[0] * n[0] + s[1] * n[1] + s[2] * n[2]).max(0.0)
+                    };
+                    (beam + step.diffuse_poa * svf) + step.ground_poa
+                }));
+            }
+        }
     }
 }
-
-impl ExactSizeIterator for CellWeatherView<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -572,12 +643,18 @@ mod tests {
     }
 
     #[test]
-    fn cell_view_streams_all_steps() {
+    fn daylight_trace_streams_sun_up_steps() {
         let d = tiny();
-        let v: Vec<_> = d.cell_view(CellCoord::new(1, 0)).collect();
-        assert_eq!(v.len(), 2);
-        assert_eq!(v[0].1, Celsius::new(20.0));
-        assert_eq!(v[1].0, Irradiance::ZERO);
+        let mut traces = d.daylight_traces();
+        let mut trace = vec![-1.0; 5]; // stale contents are cleared
+        traces.fill(CellCoord::new(1, 0), &mut trace);
+        // One sun-up step: full beam, half diffuse, ground.
+        assert_eq!(trace, [500.0 + 50.0 + 10.0]);
+        traces.fill(CellCoord::new(0, 0), &mut trace);
+        assert_eq!(trace, [110.0], "shadowed: diffuse + ground only");
+        // The temperature trace is the per-step ambient, night included.
+        assert_eq!(d.temperature(CellCoord::new(1, 0), 0), Celsius::new(20.0));
+        assert_eq!(d.temperature(CellCoord::new(1, 0), 1), Celsius::new(10.0));
     }
 
     #[test]
@@ -698,26 +775,73 @@ mod tests {
     }
 
     #[test]
-    fn cell_view_is_consistent_with_scalar_queries() {
+    fn daylight_trace_is_consistent_with_scalar_queries() {
         let d = tiny();
-        for cell in [
-            CellCoord::new(0, 0),
-            CellCoord::new(1, 0),
-            CellCoord::new(1, 1),
-        ] {
-            let streamed: Vec<_> = d.cell_view(cell).collect();
-            assert_eq!(streamed.len(), d.num_steps() as usize);
-            for (i, &(g, t)) in streamed.iter().enumerate() {
-                assert_eq!(g, d.irradiance(cell, i as u32), "cell {cell:?} step {i}");
-                assert_eq!(t, d.temperature(cell, i as u32), "cell {cell:?} step {i}");
+        let mut traces = d.daylight_traces();
+        let mut trace = Vec::new();
+        for cell in d.dims().iter() {
+            traces.fill(cell, &mut trace);
+            let sun_up = (0..d.num_steps()).filter(|&i| d.conditions(i).sun_up);
+            let expected: Vec<f64> = sun_up
+                .map(|i| d.irradiance(cell, i).as_w_per_m2())
+                .collect();
+            let bits = |v: &[f64]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&trace), bits(&expected), "cell {cell:?}");
+        }
+    }
+
+    #[test]
+    fn daylight_traces_match_irradiance_in_any_cell_order() {
+        use crate::{Obstacle, RoofBuilder, Site, SolarExtractor};
+        use pv_units::{Degrees, Meters};
+        // 800 cells = 13 shadow words; undulating, so per-cell normals.
+        let roof = RoofBuilder::new(Meters::new(8.0), Meters::new(4.0))
+            .undulation(Degrees::new(5.0), Meters::new(3.0), 3)
+            .obstacle(Obstacle::chimney(
+                Meters::new(5.0),
+                Meters::new(1.6),
+                Meters::new(0.8),
+                Meters::new(0.8),
+                Meters::new(2.0),
+            ))
+            .build();
+        let d = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(2, 60))
+            .seed(4)
+            .extract(&roof);
+        let cells: Vec<CellCoord> = d.dims().iter().collect();
+        // Row-major, reversed, and jumping between shadow words.
+        let strided = (0..cells.len()).map(|k| cells[(k * 67) % cells.len()]);
+        let orders: [Vec<CellCoord>; 3] = [
+            cells.clone(),
+            cells.iter().rev().copied().collect(),
+            strided.collect(),
+        ];
+        let sun_up: Vec<u32> = (0..d.num_steps())
+            .filter(|&i| d.conditions(i).sun_up)
+            .collect();
+        let mut trace = Vec::new();
+        for order in orders {
+            let mut traces = d.daylight_traces();
+            for cell in order {
+                traces.fill(cell, &mut trace);
+                let expected = sun_up.iter().map(|&i| d.irradiance(cell, i).as_w_per_m2());
+                assert!(
+                    trace
+                        .iter()
+                        .map(|g| g.to_bits())
+                        .eq(expected.map(f64::to_bits)),
+                    "cell {cell:?}"
+                );
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "cell outside grid")]
-    fn cell_view_rejects_out_of_grid_cell() {
-        let _ = tiny().cell_view(CellCoord::new(2, 0));
+    #[should_panic(expected = "outside")]
+    fn daylight_trace_rejects_out_of_grid_cell() {
+        tiny()
+            .daylight_traces()
+            .fill(CellCoord::new(2, 0), &mut Vec::new());
     }
 
     #[test]
@@ -826,5 +950,9 @@ mod tests {
         let slanted = d.irradiance(CellCoord::new(1, 0), 0).as_w_per_m2();
         assert!((flat - 800.0).abs() < 1e-9);
         assert!((slanted - 400.0).abs() < 0.5);
+        // The daylight trace uses each cell's own normal too.
+        let mut trace = Vec::new();
+        d.daylight_traces().fill(CellCoord::new(1, 0), &mut trace);
+        assert_eq!(trace, [slanted]);
     }
 }

@@ -15,7 +15,7 @@ use pv_units::SimulationClock;
 /// Beam-step rows per parallel work unit of the shadow-casting loop.
 ///
 /// Fixed (never derived from the thread count) so the shadow table is
-/// assembled from identical segments on any [`Runtime`] configuration.
+/// filled in identical segments on any [`Runtime`] configuration.
 const SHADOW_CHUNK_ROWS: usize = 16;
 
 /// Builder/driver for turning a [`Dsm`] into a [`SolarDataset`].
@@ -44,10 +44,10 @@ pub struct SolarExtractor {
 impl SolarExtractor {
     /// Creates an extractor for a site and simulation period.
     ///
-    /// The shadow-casting stage runs on [`Runtime::from_env`] workers
-    /// (`PV_THREADS` or the machine's parallelism); override with
-    /// [`runtime`](Self::runtime). Results are bit-identical for every
-    /// thread count.
+    /// The two parallel stages, the horizon scan and shadow casting, run
+    /// on [`Runtime::from_env`] workers (`PV_THREADS` or the machine's
+    /// parallelism); override with [`runtime`](Self::runtime). Results are
+    /// bit-identical for every thread count.
     #[must_use]
     pub fn new(site: Site, clock: SimulationClock) -> Self {
         Self {
@@ -60,7 +60,8 @@ impl SolarExtractor {
         }
     }
 
-    /// Sets the parallel runtime used by the shadow-casting stage.
+    /// Sets the parallel runtime used by the horizon scan and the
+    /// shadow-casting stage.
     #[must_use]
     pub fn runtime(mut self, runtime: Runtime) -> Self {
         self.runtime = runtime;
@@ -102,7 +103,7 @@ impl SolarExtractor {
         let roof_az = geom.azimuth();
         let latitude = self.site.latitude();
 
-        let horizon = HorizonMap::compute(dsm, self.num_sectors);
+        let horizon = HorizonMap::compute(dsm, self.num_sectors, self.runtime);
         let weather = self
             .weather
             .clone()
@@ -112,7 +113,7 @@ impl SolarExtractor {
         let num_steps = self.clock.num_steps() as usize;
         let mut steps = Vec::with_capacity(num_steps);
         let mut beam_row_of_step = vec![u32::MAX; num_steps];
-        let mut beam_steps: Vec<(u32, LocalSun)> = Vec::new();
+        let mut beam_steps: Vec<LocalSun> = Vec::new();
 
         let mut clear_sky_day = u32::MAX;
         let mut clear_sky = ClearSky::new(0, self.site.linke_turbidity(0));
@@ -155,7 +156,7 @@ impl SolarExtractor {
 
             if poa.beam.as_w_per_m2() > 0.0 {
                 beam_row_of_step[i] = beam_steps.len() as u32;
-                beam_steps.push((i as u32, local));
+                beam_steps.push(local);
             }
             steps.push(StepConditions {
                 beam_normal: split.beam_normal,
@@ -169,36 +170,32 @@ impl SolarExtractor {
 
         // Shadow table: one bit-packed row per beam step. This is the
         // extraction hot loop (beam steps × cells horizon tests); rows are
-        // independent, so chunks of rows are cast in parallel and
-        // concatenated in fixed chunk order — bit-identical to the
-        // sequential scan for any thread count.
+        // independent, so chunks of rows are cast in parallel straight into
+        // the table — bit-identical to the sequential scan for any thread
+        // count.
         let row_words = dims.num_cells().div_ceil(64);
+        let mut shadow_rows = vec![0u64; beam_steps.len() * row_words];
         let flat_roof = dsm.heights().iter().all(|&h| h <= 0.0);
-        let shadow_rows = if flat_roof {
-            vec![0u64; beam_steps.len() * row_words]
-        } else {
-            self.runtime
-                .map_chunks(beam_steps.len(), SHADOW_CHUNK_ROWS, |rows| {
-                    let mut segment = vec![0u64; rows.len() * row_words];
-                    for (local_row, row) in rows.enumerate() {
-                        let (_, sun) = &beam_steps[row];
-                        let base = local_row * row_words;
-                        for cell in dims.iter() {
-                            if horizon.is_shadowed(cell, sun.elevation, sun.plane_angle) {
-                                let bit = dims.linear_index(cell);
-                                segment[base + bit / 64] |= 1 << (bit % 64);
-                            }
-                        }
+        if !flat_roof {
+            self.runtime.for_each_chunk_mut(
+                &mut shadow_rows,
+                SHADOW_CHUNK_ROWS * row_words,
+                |chunk, block| {
+                    let first = chunk * SHADOW_CHUNK_ROWS;
+                    for (offset, row) in block.chunks_exact_mut(row_words).enumerate() {
+                        let sun = &beam_steps[first + offset];
+                        horizon.shadow_row_into(sun.elevation, sun.plane_angle, row);
                     }
-                    segment
-                })
-                .concat()
-        };
-
+                },
+            );
+        }
         let svf: Vec<f32> = dims
             .iter()
             .map(|c| horizon.sky_view_factor(c) as f32)
             .collect();
+        // Free the horizon map before the dataset is assembled: it is the
+        // largest buffer besides the shadow table, so this lowers peak memory.
+        drop(horizon);
 
         let cell_normals = if dsm.has_undulation() {
             Some(

@@ -77,7 +77,7 @@ mod weather;
 
 pub use batch::{IrradianceBatch, IrradianceGroup};
 pub use clearsky::ClearSky;
-pub use dataset::{CellWeatherView, SolarDataset, StepConditions};
+pub use dataset::{DaylightTraces, SolarDataset, StepConditions};
 pub use dsm::{Dsm, RoofBuilder, RoofGeometry};
 pub use extract::SolarExtractor;
 pub use horizon::HorizonMap;

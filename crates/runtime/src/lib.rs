@@ -1,7 +1,7 @@
 //! Deterministic chunked parallel execution on std scoped threads.
 //!
-//! Every hot loop in the workspace (shadow casting, energy integration,
-//! exhaustive search) is shaped the same way: map a function over a dense
+//! Every hot loop in the workspace (the horizon scan, shadow casting,
+//! energy integration, exhaustive search) is shaped the same way: map a function over a dense
 //! index range and combine the results. This crate runs that shape on a
 //! configurable number of threads while keeping the output **bit-identical
 //! to a sequential run**, preserving the workspace-wide determinism
