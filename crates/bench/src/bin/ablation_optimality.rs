@@ -9,9 +9,11 @@
 //! nothing: both studies run at fixed toy scales).
 
 use pv_bench::parse_harness_args;
-use pv_floorplan::anneal::{anneal_with_runtime, AnnealConfig};
-use pv_floorplan::exact::optimal_placement_with_runtime;
-use pv_floorplan::{greedy_placement, EnergyEvaluator, FloorplanConfig};
+use pv_floorplan::anneal::{anneal, AnnealConfig};
+use pv_floorplan::exact::optimal_placement;
+use pv_floorplan::{
+    greedy_placement_with_map, EnergyEvaluator, FloorplanConfig, SuitabilityMap, TraceMemo,
+};
 use pv_gis::{Obstacle, RoofBuilder, Site, SolarExtractor};
 use pv_model::Topology;
 use pv_units::{Degrees, Meters, SimulationClock};
@@ -57,12 +59,14 @@ fn exact_study(runtime: pv_runtime::Runtime) {
             .extract(&roof);
         let config =
             FloorplanConfig::paper(Topology::new(2, 1).expect("topology")).expect("config");
-        let greedy = greedy_placement(&data, &config).expect("fits");
+        let map = SuitabilityMap::compute(&data, &config);
+        let greedy = greedy_placement_with_map(&data, &config, &map).expect("fits");
         let greedy_wh = EnergyEvaluator::new(&config)
             .evaluate(&data, &greedy)
             .expect("sized")
             .energy;
-        let (_, optimal_wh) = optimal_placement_with_runtime(&data, &config, 5_000_000, runtime)
+        let memo = TraceMemo::new();
+        let (_, optimal_wh) = optimal_placement(&data, &config, &map, 5_000_000, runtime, &memo)
             .expect("search feasible");
         let gap = (1.0 - greedy_wh.as_wh() / optimal_wh.as_wh()) * 100.0;
         println!(
@@ -101,14 +105,17 @@ fn anneal_study(runtime: pv_runtime::Runtime) {
         .runtime(runtime)
         .extract(&roof);
     let config = FloorplanConfig::paper(Topology::new(4, 2).expect("topology")).expect("config");
-    let greedy = greedy_placement(&data, &config).expect("fits");
+    // One map serves both placers.
+    let map = SuitabilityMap::compute(&data, &config);
+    let greedy = greedy_placement_with_map(&data, &config, &map).expect("fits");
     let greedy_wh = EnergyEvaluator::new(&config)
         .evaluate(&data, &greedy)
         .expect("sized")
         .energy;
-    let (_, annealed_wh) = anneal_with_runtime(
+    let (_, annealed_wh) = anneal(
         &data,
         &config,
+        &map,
         &greedy,
         AnnealConfig {
             iterations: 400,
@@ -116,6 +123,7 @@ fn anneal_study(runtime: pv_runtime::Runtime) {
             ..AnnealConfig::default()
         },
         runtime,
+        &TraceMemo::new(),
     )
     .expect("anneal");
     println!(

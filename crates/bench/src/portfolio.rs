@@ -26,8 +26,8 @@
 
 use crate::json;
 use pv_floorplan::{
-    anneal_with_memo, greedy_placement_with_map, optimal_placement_with_memo, AnnealConfig,
-    EnergyEvaluator, FloorplanConfig, SuitabilityMap, TraceMemo,
+    anneal, greedy_placement_with_map, optimal_placement, AnnealConfig, EnergyEvaluator,
+    FloorplanConfig, SuitabilityMap, TraceMemo,
 };
 use pv_gis::{CorpusPreset, ScenarioCorpus, SiteScenario};
 use pv_model::Topology;
@@ -256,15 +256,28 @@ pub fn run_scenario(scenario: &SiteScenario, opts: &PortfolioOptions) -> Portfol
         seed,
         ..AnnealConfig::default()
     };
-    let (_, anneal_energy) =
-        anneal_with_memo(&dataset, &config, &greedy_plan, params, sequential, &memo)
-            .expect("initial plan is feasible");
+    let (_, anneal_energy) = anneal(
+        &dataset,
+        &config,
+        &map,
+        &greedy_plan,
+        params,
+        sequential,
+        &memo,
+    )
+    .expect("initial plan is feasible");
     record.anneal_wh = anneal_energy.as_wh();
 
-    record.exact_wh =
-        optimal_placement_with_memo(&dataset, &config, opts.exact_budget, sequential, &memo)
-            .ok()
-            .map(|(_, energy)| energy.as_wh());
+    record.exact_wh = optimal_placement(
+        &dataset,
+        &config,
+        &map,
+        opts.exact_budget,
+        sequential,
+        &memo,
+    )
+    .ok()
+    .map(|(_, energy)| energy.as_wh());
 
     record.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     record

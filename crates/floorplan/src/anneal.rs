@@ -45,67 +45,17 @@ impl Default for AnnealConfig {
 /// Refines `initial` by simulated annealing, returning the best placement
 /// found and its energy.
 ///
-/// Each move relocates one random module to a random feasible anchor; the
-/// full energy model scores every state (use a coarse-clock dataset for
-/// speed, then re-evaluate the winner on the full clock).
+/// Each move relocates one random module to a random feasible anchor of
+/// `map`; the full energy model scores every state (use a coarse-clock
+/// dataset for speed, then re-evaluate the winner on the full clock).
+/// `map` must be the [`SuitabilityMap`] of `dataset` under the module and
+/// metric settings of `config`; it is topology-independent, so one map per
+/// site serves every topology.
 ///
-/// # Errors
-///
-/// Propagates evaluation errors (e.g. a size-mismatched initial plan).
-///
-/// ```
-/// use pv_floorplan::{anneal::{anneal, AnnealConfig}, greedy_placement, FloorplanConfig};
-/// use pv_gis::{RoofBuilder, SolarExtractor, Site};
-/// use pv_model::Topology;
-/// use pv_units::{Meters, SimulationClock};
-/// let roof = RoofBuilder::new(Meters::new(6.0), Meters::new(2.0)).build();
-/// let data = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(1, 240))
-///     .extract(&roof);
-/// let config = FloorplanConfig::paper(Topology::new(2, 1)?)?;
-/// let start = greedy_placement(&data, &config)?;
-/// let params = AnnealConfig { iterations: 30, ..AnnealConfig::default() };
-/// let (refined, energy) = anneal(&data, &config, &start, params)?;
-/// assert_eq!(refined.placement.len(), 2);
-/// assert!(energy.as_wh() > 0.0);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn anneal(
-    dataset: &SolarDataset,
-    config: &FloorplanConfig,
-    initial: &FloorplanResult,
-    params: AnnealConfig,
-) -> Result<(FloorplanResult, WattHours), FloorplanError> {
-    anneal_with_runtime(
-        dataset,
-        config,
-        initial,
-        params,
-        pv_runtime::Runtime::from_env(),
-    )
-}
-
-/// [`anneal`] on an explicit [`Runtime`](pv_runtime::Runtime) (the
-/// `--threads` path) — energy evaluations run time-chunk parallel on it;
-/// the chain itself is inherently sequential. Results are identical for
-/// every thread count.
-///
-/// # Errors
-///
-/// Propagates evaluation errors (e.g. a size-mismatched initial plan).
-pub fn anneal_with_runtime(
-    dataset: &SolarDataset,
-    config: &FloorplanConfig,
-    initial: &FloorplanResult,
-    params: AnnealConfig,
-    runtime: pv_runtime::Runtime,
-) -> Result<(FloorplanResult, WattHours), FloorplanError> {
-    anneal_with_memo(dataset, config, initial, params, runtime, &TraceMemo::new())
-}
-
-/// [`anneal_with_runtime`] sharing a caller-owned per-anchor [`TraceMemo`]:
-/// anchors already traced by an earlier run on the *same*
-/// `(dataset, config)` pair — a prior greedy evaluation, another placer,
-/// an earlier chain — are lookups instead of kernel passes, and the
+/// Energy evaluations run time-chunk parallel on `runtime`; the chain
+/// itself is sequential, and results are identical for every thread
+/// count. Anchors already traced in `memo` by an earlier run on the same
+/// `(dataset, config)` pair are lookups instead of kernel passes, and the
 /// anchors this chain visits are published back for whoever runs next.
 /// Memo hits are bit-identical to recomputation, so sharing never changes
 /// the result.
@@ -113,9 +63,32 @@ pub fn anneal_with_runtime(
 /// # Errors
 ///
 /// Propagates evaluation errors (e.g. a size-mismatched initial plan).
-pub fn anneal_with_memo(
+///
+/// ```
+/// use pv_floorplan::{anneal::{anneal, AnnealConfig}, greedy_placement_with_map};
+/// use pv_floorplan::{FloorplanConfig, SuitabilityMap, TraceMemo};
+/// use pv_gis::{RoofBuilder, SolarExtractor, Site};
+/// use pv_model::Topology;
+/// use pv_runtime::Runtime;
+/// use pv_units::{Meters, SimulationClock};
+/// let roof = RoofBuilder::new(Meters::new(6.0), Meters::new(2.0)).build();
+/// let data = SolarExtractor::new(Site::turin(), SimulationClock::days_at_minutes(1, 240))
+///     .extract(&roof);
+/// let config = FloorplanConfig::paper(Topology::new(2, 1)?)?;
+/// let map = SuitabilityMap::compute(&data, &config);
+/// let start = greedy_placement_with_map(&data, &config, &map)?;
+/// let params = AnnealConfig { iterations: 30, ..AnnealConfig::default() };
+/// let memo = TraceMemo::new();
+/// let (refined, energy) =
+///     anneal(&data, &config, &map, &start, params, Runtime::sequential(), &memo)?;
+/// assert_eq!(refined.placement.len(), 2);
+/// assert!(energy.as_wh() > 0.0);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn anneal(
     dataset: &SolarDataset,
     config: &FloorplanConfig,
+    map: &SuitabilityMap,
     initial: &FloorplanResult,
     params: AnnealConfig,
     runtime: pv_runtime::Runtime,
@@ -126,7 +99,6 @@ pub fn anneal_with_memo(
     let mut rng = StdRng::seed_from_u64(params.seed);
 
     // Feasible anchors for relocation moves.
-    let map = SuitabilityMap::compute(dataset, config);
     let anchors: Vec<CellCoord> = map
         .anchor_scores(footprint)
         .enumerate()
@@ -202,6 +174,17 @@ mod tests {
         FloorplanConfig::paper(Topology::new(m, n).unwrap()).unwrap()
     }
 
+    fn run(
+        data: &SolarDataset,
+        cfg: &FloorplanConfig,
+        start: &FloorplanResult,
+        params: AnnealConfig,
+    ) -> (FloorplanResult, WattHours) {
+        let map = SuitabilityMap::compute(data, cfg);
+        let runtime = pv_runtime::Runtime::sequential();
+        anneal(data, cfg, &map, start, params, runtime, &TraceMemo::new()).unwrap()
+    }
+
     #[test]
     fn never_worse_than_initial() {
         let roof = RoofBuilder::new(Meters::new(8.0), Meters::new(3.0))
@@ -222,7 +205,7 @@ mod tests {
             .evaluate(&data, &start)
             .unwrap()
             .energy;
-        let (refined, energy) = anneal(
+        let (refined, energy) = run(
             &data,
             &cfg,
             &start,
@@ -231,8 +214,7 @@ mod tests {
                 seed: 7,
                 ..AnnealConfig::default()
             },
-        )
-        .unwrap();
+        );
         assert!(energy.as_wh() >= start_energy.as_wh() - 1e-9);
         assert_eq!(refined.placement.len(), 2);
     }
@@ -250,8 +232,8 @@ mod tests {
             seed: 5,
             ..AnnealConfig::default()
         };
-        let (a, ea) = anneal(&data, &cfg, &start, params).unwrap();
-        let (b, eb) = anneal(&data, &cfg, &start, params).unwrap();
+        let (a, ea) = run(&data, &cfg, &start, params);
+        let (b, eb) = run(&data, &cfg, &start, params);
         assert_eq!(a.placement.modules(), b.placement.modules());
         assert_eq!(ea, eb);
     }
@@ -286,7 +268,7 @@ mod tests {
             .evaluate(&data, &bad)
             .unwrap()
             .energy;
-        let (_, energy) = anneal(
+        let (_, energy) = run(
             &data,
             &cfg,
             &bad,
@@ -295,8 +277,7 @@ mod tests {
                 seed: 1,
                 ..AnnealConfig::default()
             },
-        )
-        .unwrap();
+        );
         assert!(
             energy.as_wh() > bad_energy.as_wh() * 1.01,
             "bad {} refined {}",

@@ -53,13 +53,13 @@ mod report;
 mod suitability;
 mod traditional;
 
-pub use anneal::{anneal, anneal_with_memo, AnnealConfig};
+pub use anneal::{anneal, AnnealConfig};
 pub use config::FloorplanConfig;
 pub use error::FloorplanError;
 pub use evaluate::{
     module_lane_params, EnergyEvaluator, EnergyReport, EvaluationContext, TraceMemo,
 };
-pub use exact::{optimal_placement, optimal_placement_with_memo};
+pub use exact::optimal_placement;
 pub use greedy::{greedy_placement, greedy_placement_with_map, FloorplanResult};
 pub use placer::{Placer, PlacerOptions};
 pub use report::{ComparisonRow, Table1Report};

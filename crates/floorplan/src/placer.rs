@@ -14,9 +14,9 @@
 //! contract), so two identical requests produce identical results on any
 //! thread count.
 
-use crate::anneal::{anneal_with_memo, AnnealConfig};
+use crate::anneal::{anneal, AnnealConfig};
 use crate::evaluate::{EnergyEvaluator, EnergyReport, TraceMemo};
-use crate::exact::optimal_placement_with_memo;
+use crate::exact::optimal_placement;
 use crate::greedy::{greedy_placement_with_map, FloorplanResult};
 use crate::suitability::SuitabilityMap;
 use crate::{FloorplanConfig, FloorplanError};
@@ -96,18 +96,13 @@ impl Placer {
                     seed: options.seed,
                     ..AnnealConfig::default()
                 };
-                let (plan, _) = anneal_with_memo(dataset, config, &start, params, runtime, memo)?;
+                let (plan, _) = anneal(dataset, config, map, &start, params, runtime, memo)?;
                 let report = report_of(&plan)?;
                 Ok((plan, report))
             }
             Self::Exact => {
-                let (plan, _) = optimal_placement_with_memo(
-                    dataset,
-                    config,
-                    options.exact_budget,
-                    runtime,
-                    memo,
-                )?;
+                let (plan, _) =
+                    optimal_placement(dataset, config, map, options.exact_budget, runtime, memo)?;
                 let report = report_of(&plan)?;
                 Ok((plan, report))
             }

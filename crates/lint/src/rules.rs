@@ -32,7 +32,7 @@ use crate::lexer::{self, ByteClass};
 /// structurally in addition to these patterns.
 #[derive(Debug)]
 pub struct Rule {
-    /// Stable rule ID (`D01` … `R03`), the key used by `allow(...)`.
+    /// Stable rule ID (`D01` … `R04`), the key used by `allow(...)`.
     pub id: &'static str,
     /// Severity label carried into the JSON artifact; every rule is
     /// currently `deny` (any unsuppressed finding fails the build).
@@ -124,6 +124,13 @@ pub const RULES: &[Rule] = &[
                   pv_obs sink (TraceLog) or return an error for the CLI layer to report",
         patterns: &["eprintln!", "eprint!", "io::stderr"],
     },
+    Rule {
+        id: "R04",
+        severity: "deny",
+        summary: "sleep in serving code adds a fixed delay to the request path; block on the \
+                  event itself (accept, a channel, a condvar) instead",
+        patterns: &["thread::sleep"],
+    },
 ];
 
 /// Looks a rule up by ID. Meta rules are not in the table (they cannot
@@ -192,6 +199,9 @@ const RESULT_CRATES: &[&str] = &["units", "geom", "gis", "model", "floorplan", "
 /// * `R03` — library code outside `pv_obs` (whose sinks are the one
 ///   sanctioned place to own an output stream; CLI `bin/` error paths
 ///   keep printing to stderr, which is what stderr is for).
+/// * `R04` — `pv_server` library code: a sleep there is a fixed delay on
+///   some request's path, so the few deliberate waits (health polling,
+///   error backoff) carry audited pragmas.
 pub fn rule_applies(rule: &Rule, class: &FileClass, rel_path: &str) -> bool {
     if class.is_test {
         return false;
@@ -213,6 +223,7 @@ pub fn rule_applies(rule: &Rule, class: &FileClass, rel_path: &str) -> bool {
         }
         "R02" => !class.is_bin,
         "R03" => !class.is_bin && class.crate_name != "obs",
+        "R04" => !class.is_bin && class.crate_name == "server",
         _ => false,
     }
 }
@@ -221,7 +232,7 @@ pub fn rule_applies(rule: &Rule, class: &FileClass, rel_path: &str) -> bool {
 /// malformed pragma.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule ID (`D01`…`R03`, or meta `X01`/`X02`).
+    /// Rule ID (`D01`…`R04`, or meta `X01`/`X02`).
     pub rule: String,
     /// Severity label of the rule.
     pub severity: String,
@@ -697,6 +708,29 @@ mod tests {
         let allowed =
             "// pvlint: allow(R03): progress narration, not data\neprintln!(\"running...\");\n";
         let lint = lint_source("crates/bench/src/fake.rs", allowed);
+        assert!(lint.findings.is_empty(), "{:?}", lint.findings);
+        assert_eq!(lint.suppressed, 1);
+    }
+
+    #[test]
+    fn r04_fires_on_sleeps_in_server_library_code_only() {
+        let src = "std::thread::sleep(POLL);\nuse std::thread::sleep;\n";
+        assert_eq!(fire("crates/server/src/fake.rs", src), ["R04@1", "R04@2"]);
+        // Test code may wait on purpose...
+        assert!(fire("crates/server/tests/fake.rs", src).is_empty());
+        let in_test_mod =
+            "fn ok() {}\n#[cfg(test)]\nmod tests {\n    fn f() { std::thread::sleep(D); }\n}\n";
+        assert!(fire("crates/server/src/fake.rs", in_test_mod).is_empty());
+        // ...and other crates are out of scope.
+        assert!(fire(LIB, src).is_empty());
+        assert!(fire("crates/runtime/src/fake.rs", src).is_empty());
+        assert!(fire("src/bin/pvplan.rs", src).is_empty());
+        // Lookalikes do not fire; an audited pragma silences a real one.
+        let lookalike = "my_thread::sleeper();\nthread::sleep_ms(1);\n";
+        assert!(fire("crates/server/src/fake.rs", lookalike).is_empty());
+        let allowed =
+            "// pvlint: allow(R04): backoff after a failed accept\nstd::thread::sleep(B);\n";
+        let lint = lint_source("crates/server/src/fake.rs", allowed);
         assert!(lint.findings.is_empty(), "{:?}", lint.findings);
         assert_eq!(lint.suppressed, 1);
     }

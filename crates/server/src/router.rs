@@ -365,6 +365,7 @@ impl Router {
                     return true;
                 }
             }
+            // pvlint: allow(R04): a shard starting or respawning has no event to block on; polls are bounded by `attempts`
             std::thread::sleep(HEALTH_POLL);
         }
         false

@@ -5,20 +5,32 @@
 //! pool, so a slow request can never stall `accept()`. The pool's queue
 //! is bounded ([`pv_runtime::WorkerPool`]): when every worker is busy and
 //! the queue is full, the acceptor blocks in `submit`, TCP backpressure
-//! reaches the clients, and memory stays flat under overload.
+//! reaches the clients, and memory stays flat under overload. The
+//! acceptor blocks in `accept()`; shutdown sets the stop flag and wakes
+//! it by connecting to the server's own address, and every connection
+//! accepted after the flag, backlog included, gets a structured `503`.
 
 use crate::http::{read_request, write_response, RequestError, IO_TIMEOUT};
 use pv_runtime::{Runtime, WorkerPool};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufReader, Read};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Acceptor poll interval while idle (the listener is non-blocking so
-/// shutdown never waits on a connection that may never come).
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// Pause after a failed `accept()` (e.g. `EMFILE`) or a failed shutdown
+/// wake-up connect, so a persistent error cannot spin a core.
+const RETRY_BACKOFF: Duration = Duration::from_millis(2);
+
+/// Shutdown's wake-up connects (attempts, and the timeout of each) before
+/// it stops waiting for the acceptor.
+const WAKE_ATTEMPTS: u32 = 100;
+const WAKE_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// Read timeout and count of the reads that drain a refused client.
+const REFUSE_LINGER: Duration = Duration::from_millis(100);
+const REFUSE_READS: usize = 16;
 
 /// What the transport serves: anything that can turn a parsed request
 /// into a `(status, JSON body)` pair.
@@ -90,7 +102,6 @@ impl Server {
     ) -> std::io::Result<Self> {
         let handler: Arc<dyn Handler> = handler;
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let acceptor = {
@@ -114,19 +125,45 @@ impl Server {
     }
 
     /// Stops accepting, drains queued and in-flight requests, joins all
-    /// threads.
+    /// threads — unless no wake-up connect gets through, in which case the
+    /// acceptor exits on its next connection instead of hanging the caller.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.acceptor.take() {
+        let Some(handle) = self.acceptor.take() else {
+            return;
+        };
+        if wake_acceptor(self.local_addr, &handle) {
             if let Err(payload) = handle.join() {
                 std::panic::resume_unwind(payload);
             }
         }
     }
+}
+
+/// Unblocks an acceptor sitting in `accept()` by connecting to its own
+/// address (over loopback for an unspecified bind address). Returns
+/// whether the acceptor is woken or already gone.
+fn wake_acceptor(mut target: SocketAddr, acceptor: &JoinHandle<()>) -> bool {
+    if target.ip().is_unspecified() {
+        let v4 = target.is_ipv4();
+        target.set_ip(if v4 {
+            Ipv4Addr::LOCALHOST.into()
+        } else {
+            Ipv6Addr::LOCALHOST.into()
+        });
+    }
+    for _ in 0..WAKE_ATTEMPTS {
+        if acceptor.is_finished() || TcpStream::connect_timeout(&target, WAKE_TIMEOUT).is_ok() {
+            return true;
+        }
+        // pvlint: allow(R04): bounded retry of a failed shutdown wake-up connect
+        std::thread::sleep(RETRY_BACKOFF);
+    }
+    acceptor.is_finished()
 }
 
 impl Drop for Server {
@@ -151,44 +188,51 @@ fn accept_loop(
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
+                if stop.load(Ordering::Acquire) {
+                    // The shutdown wake-up, or a client that raced it.
+                    refuse_connection(&stream);
+                    break;
+                }
                 backlog.fetch_add(1, Ordering::AcqRel);
                 let handler = Arc::clone(handler);
                 let worker_backlog = Arc::clone(&backlog);
-                let stream = Arc::new(stream);
-                let worker_stream = Arc::clone(&stream);
-                let accepted = pool.submit(move || {
+                let queued = pool.submit(move || {
                     let depth = worker_backlog.fetch_sub(1, Ordering::AcqRel) - 1;
-                    handle_connection(&worker_stream, handler.as_ref(), depth);
+                    handle_connection(&stream, handler.as_ref(), depth);
                 });
-                if !accepted {
-                    // The queue closed under us (shutdown raced the
-                    // accept): still answer the connection with a
-                    // structured 503 instead of resetting the socket.
-                    backlog.fetch_sub(1, Ordering::AcqRel);
-                    refuse_connection(&stream);
-                }
+                debug_assert!(queued, "the pool closes only after the accept loop");
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-                std::thread::sleep(ACCEPT_POLL);
+            Err(_) if stop.load(Ordering::Acquire) => break,
+            // Transient accept errors (an aborted handshake, `EMFILE`)
+            // must not kill the server.
+            Err(_) => {
+                // pvlint: allow(R04): backoff after a failed accept, never on the idle path
+                std::thread::sleep(RETRY_BACKOFF);
             }
-            // Transient accept errors (e.g. the peer aborted during the
-            // handshake) must not kill the server.
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+        }
+    }
+    // Connections that completed their handshake behind the wake-up get
+    // the same 503 instead of a reset when the listener closes.
+    if listener.set_nonblocking(true).is_ok() {
+        while let Ok((stream, _)) = listener.accept() {
+            refuse_connection(&stream);
         }
     }
     pool.shutdown(); // drain accepted connections before returning
     handler.on_shutdown(); // then e.g. flush pending snapshot writes
 }
 
-/// Answers a connection the worker pool refused (queue closed during
-/// shutdown) with a structured `503` — the error-path convention is
-/// "never drop a socket you accepted".
+/// Answers a connection accepted during shutdown with a structured
+/// `503` — the error-path convention is "never drop a socket you
+/// accepted".
+///
+/// Closing a socket with unread request bytes resets the connection and
+/// can destroy the `503` unread, so the write side is half-closed and the
+/// client's bytes are drained (a few short, timed reads at most).
 fn refuse_connection(stream: &TcpStream) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_read_timeout(Some(REFUSE_LINGER));
     let mut writer = stream;
     let _ = write_response(
         &mut writer,
@@ -196,13 +240,18 @@ fn refuse_connection(stream: &TcpStream) {
         "application/json",
         br#"{"error": "server is shutting down"}"#,
     );
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut sink = [0u8; 4096];
+    let mut reader = stream;
+    for _ in 0..REFUSE_READS {
+        if !matches!(reader.read(&mut sink), Ok(n) if n > 0) {
+            break;
+        }
+    }
 }
 
 fn handle_connection(stream: &TcpStream, handler: &dyn Handler, queue_depth: usize) {
-    // Accepted sockets are blocking again (accept does not inherit the
-    // listener's non-blocking flag on the platforms we target, but be
-    // explicit), with timeouts so a dead peer frees the worker.
-    let _ = stream.set_nonblocking(false);
+    // Timeouts so a dead peer frees the worker.
     let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let _ = stream.set_nodelay(true);
@@ -252,9 +301,86 @@ mod tests {
     use crate::service::{PlacementService, ServiceConfig};
 
     fn start(threads: usize) -> Server {
+        start_on("127.0.0.1:0", threads)
+    }
+
+    fn start_on(addr: &str, threads: usize) -> Server {
         let service = Arc::new(PlacementService::new(ServiceConfig::tiny()));
-        Server::bind("127.0.0.1:0", service, Runtime::with_threads(threads), 8)
-            .expect("bind ephemeral port")
+        Server::bind(addr, service, Runtime::with_threads(threads), 8).expect("bind ephemeral port")
+    }
+
+    /// Runs `server.shutdown()` under a watchdog: a hang fails the test
+    /// after a generous timeout instead of stalling the suite. Returns
+    /// how long the shutdown took.
+    fn shutdown_within_watchdog(server: Server) -> Duration {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let t0 = std::time::Instant::now();
+            server.shutdown();
+            let _ = done.send(t0.elapsed());
+        });
+        finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("shutdown hung: the acceptor was never woken")
+    }
+
+    #[test]
+    fn idle_servers_shut_down_promptly_on_loopback_and_unspecified_addresses() {
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let server = start_on(addr, 2);
+            // Idle: the acceptor is blocked in accept() with nothing queued.
+            std::thread::sleep(Duration::from_millis(20));
+            let took = shutdown_within_watchdog(server);
+            assert!(
+                took < Duration::from_secs(5),
+                "{addr}: shutdown took {took:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn clients_connecting_during_shutdown_get_an_answer_not_a_reset() {
+        use std::io::{Read, Write};
+        // One worker and a one-slot queue: the first client holds the
+        // worker (it has not sent its request yet), the second fills the
+        // queue, and the acceptor blocks handing over the third.
+        let service = Arc::new(PlacementService::new(ServiceConfig::tiny()));
+        let server = Server::bind("127.0.0.1:0", service, Runtime::with_threads(1), 1).unwrap();
+        let addr = server.local_addr();
+        let connect = || TcpStream::connect(addr).expect("connect");
+        let mut clients: Vec<TcpStream> = (0..3).map(|_| connect()).collect();
+        std::thread::sleep(Duration::from_millis(50));
+        // Shutdown's first step; these two connect while it runs, so the
+        // acceptor can only reach them after the flag is set.
+        server.stop.store(true, Ordering::Release);
+        clients.extend((0..2).map(|_| connect()));
+        // Every request is sent before any answer is read, so refused
+        // clients have unread bytes on the server side when it closes.
+        for client in &mut clients {
+            client
+                .write_all(b"GET /v1/healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n")
+                .unwrap();
+        }
+        for (i, mut client) in clients.into_iter().enumerate() {
+            client
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+            let mut response = String::new();
+            client
+                .read_to_string(&mut response)
+                .unwrap_or_else(|e| panic!("client {i} was not answered: {e}"));
+            let refused =
+                response.starts_with("HTTP/1.1 503") && response.contains("shutting down");
+            assert!(
+                refused || response.starts_with("HTTP/1.1 200"),
+                "client {i}: {response:?}"
+            );
+            assert!(
+                refused || i < 3,
+                "client {i} connected after the stop flag: {response:?}"
+            );
+        }
+        shutdown_within_watchdog(server);
     }
 
     #[test]

@@ -1186,4 +1186,35 @@ mod tests {
         let (_, hit) = service.place(&spec_body(0)).unwrap();
         assert!(!hit);
     }
+
+    /// FNV-1a over anneal `/v1/place` answers (status and body) on
+    /// generated sites, with the ladder's topology and with explicit
+    /// `series`/`strings`: annealing reads the site's cached suitability
+    /// map, and this pins that it answers the bytes it always has.
+    #[test]
+    fn anneal_response_bytes_are_pinned() {
+        let service = PlacementService::new(ServiceConfig::smoke());
+        let mut answers = String::new();
+        for index in 0..6 {
+            for topology in [
+                "",
+                r#", "series": 2, "strings": 2"#,
+                r#", "series": 3, "strings": 1"#,
+            ] {
+                let body = format!(
+                    r#"{{"spec": "{}", "placer": "anneal"{topology}}}"#,
+                    spec_body(index)
+                );
+                let (status, response) =
+                    service.handle("POST", "/v1/place", body.as_bytes(), &depth(0));
+                answers.push_str(&format!("{status} {response}\n"));
+            }
+        }
+        // Digest of the answers before annealing took the cached map.
+        assert_eq!(
+            fnv1a(answers.as_bytes()),
+            0x9fc2_eb6a_7812_d81d,
+            "{answers}"
+        );
+    }
 }
